@@ -23,6 +23,7 @@ from flashcrowd.generator import (
     generate,
 )
 from flashcrowd.trace import BinnedTrace
+from util_joint import exact_joint
 
 
 def trace_of(*bins, width=1.0):
@@ -294,3 +295,24 @@ class TestDetect:
         online = det.series()
         batch = detect(trace, w=1, flag_cfg=FlagConfig(warmup=80))
         assert online.points == batch.points and online.events == batch.events
+
+
+class TestExactOracle:
+    """rho_bound, theta and H(X, Y) against the rational staircase oracle."""
+
+    @pytest.mark.filterwarnings("ignore::flashcrowd.detector.DegenerateBound")
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_matches_exact_staircase(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3 if n < 300 else 1):
+            prev = {i: int(c) for i, c in enumerate(rng.integers(0, 40, n))}
+            now = {i: int(c) for i, c in enumerate(rng.integers(0, 40, n))}
+            prev[0] += 1
+            pair = build_distributions(trace_of(prev, now), 1, 1)
+            counts = (pair.c_prev.astype(int).tolist(), pair.c_now.astype(int).tolist())
+            for rho in (-1.0, -0.3, -1e-3, 0.0, 0.2, 1.0):
+                joint = frechet_joint(pair, rho)
+                rho_bound, theta, h_xy = exact_joint(*counts, rho)
+                assert abs(joint.rho_bound - rho_bound) < 1e-12
+                assert abs(joint.theta - theta) < 1e-12
+                assert abs(entropies(pair, joint).h_xy - h_xy) < 1e-12
