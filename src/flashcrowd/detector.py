@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,10 +53,30 @@ class DistributionPair:
 
 @dataclass(frozen=True)
 class JointModel:
+    """theta * P_b + (1 - theta) * f g^T and its entropies in bits.
+
+    P_b, the Frechet extreme, is kept as its staircase: ``mass[k]`` on cell
+    (``rows[k]``, ``cols[k]``), nothing elsewhere.
+    """
+
     rho: float
     rho_bound: float
     theta: float
-    p: np.ndarray
+    h_x: float
+    h_y: float
+    h_xy: float
+    f: np.ndarray
+    g: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    mass: np.ndarray
+
+    @property
+    def p(self) -> np.ndarray:
+        """The dense n x n joint, for inspection; detection never builds it."""
+        p = (1.0 - self.theta) * np.outer(self.f, self.g)
+        p[self.rows, self.cols] += self.theta * self.mass
+        return p
 
 
 @dataclass(frozen=True)
@@ -148,6 +169,30 @@ def _values_for(pair: DistributionPair, value_mode: str) -> np.ndarray:
     raise ValueError(f"unknown value_mode {value_mode!r}")
 
 
+def _joint(pair: DistributionPair, rho: float, value_mode: str) -> tuple[JointModel, int]:
+    """The joint model and the ``kernels.MIX_*`` status of its construction."""
+    vals = _values_for(pair, value_mode)
+    mix = kernels.frechet_mix(pair.f, pair.g, rho, vals, vals)
+    if mix.status == kernels.MIX_CLAMPED:
+        logger.debug(
+            "sample rho %.4g beyond attainable bound %.4g; theta clamped", rho, mix.rho_bound
+        )
+    joint = JointModel(
+        rho=rho,
+        rho_bound=mix.rho_bound,
+        theta=mix.theta,
+        h_x=mix.h_x,
+        h_y=mix.h_y,
+        h_xy=mix.h_xy,
+        f=pair.f,
+        g=pair.g,
+        rows=mix.rows,
+        cols=mix.cols,
+        mass=mix.mass,
+    )
+    return joint, mix.status
+
+
 def frechet_joint(
     pair: DistributionPair, rho: float, value_mode: str = "ordinal"
 ) -> JointModel:
@@ -161,26 +206,25 @@ def frechet_joint(
     to 1; a zero extreme with nonzero rho falls back to the product and
     warns.
     """
-    vals = _values_for(pair, value_mode)
-    p, theta, rho_bound, status = kernels.frechet_mix(pair.f, pair.g, float(rho), vals, vals)
+    joint, status = _joint(pair, float(rho), value_mode)
     if status == kernels.MIX_DEGENERATE:
         warnings.warn(
             f"degenerate Frechet bound (rho={rho:.4g}); using independent joint",
             DegenerateBound,
             stacklevel=2,
         )
-    elif status == kernels.MIX_CLAMPED:
-        logger.debug("sample rho %.4g beyond attainable bound %.4g; theta clamped", rho, rho_bound)
-    return JointModel(rho=float(rho), rho_bound=float(rho_bound), theta=float(theta), p=p)
+    return joint
 
 
 def entropies(pair: DistributionPair, joint: JointModel, t: int = 0) -> DetectionPoint:
     """Marginal/joint entropies in bits (0 log 0 := 0) and total correlation."""
-    h_x = float(kernels.entropy_bits(pair.f))
-    h_y = float(kernels.entropy_bits(pair.g))
-    h_xy = float(kernels.entropy_bits(joint.p))
     return DetectionPoint(
-        t=t, h_x=h_x, h_y=h_y, h_xy=h_xy, c_xy=h_x + h_y - h_xy, n=len(pair.support)
+        t=t,
+        h_x=joint.h_x,
+        h_y=joint.h_y,
+        h_xy=joint.h_xy,
+        c_xy=joint.h_x + joint.h_y - joint.h_xy,
+        n=len(pair.support),
     )
 
 
@@ -278,9 +322,8 @@ class Detector:
         self.points: list[DetectionPoint] = []
         self.degenerate_points = 0
         self._flagger = _Flagger(self.cfg)
-        self._history: list[dict[int, int]] = []
+        self._history: deque[dict[int, int]] = deque(maxlen=w + 1)
         self._t = -1
-        kernels.warmup()
 
     def update(self, counts: dict[int, int]) -> DetectionPoint | None:
         """Consume the next bin; returns its point once t >= w.
@@ -290,8 +333,6 @@ class Detector:
         """
         self._t += 1
         self._history.append(counts)
-        if len(self._history) > self.w + 1:
-            self._history.pop(0)
         if self._t < self.w:
             return None
         try:
@@ -299,14 +340,11 @@ class Detector:
         except EmptyBin:
             return None
         rho = float(kernels.pearson_counts(pair.c_prev, pair.c_now))
+        joint, status = _joint(pair, rho, self.value_mode)
         # Point-mass marginals collapse the bound correlation to 0 on sparse
         # bins; that is routine in long replays, so count instead of warn.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DegenerateBound)
-            joint = frechet_joint(pair, rho, self.value_mode)
-        self.degenerate_points += sum(
-            1 for w in caught if issubclass(w.category, DegenerateBound)
-        )
+        if status == kernels.MIX_DEGENERATE:
+            self.degenerate_points += 1
         point = entropies(pair, joint, self._t)
         self.points.append(point)
         self._flagger.observe(point.t, point.c_xy)

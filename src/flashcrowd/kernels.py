@@ -1,15 +1,35 @@
-"""Hot numeric kernels with numba-compiled and pure-numpy variants.
+"""Hot numeric kernels: the beta sampler and the detector's joint model.
 
-The compiled path is the default. Set ``FLASHCROWD_NO_NUMBA=1`` (or run
-without numba installed) to select the numpy fallback. Both variants are
-exercised against each other in the test suite, and
-``python -m flashcrowd.bench`` compares their throughput.
+The beta sampler runs numba-compiled when numba is importable; set
+``FLASHCROWD_NO_NUMBA=1`` to run its plain-python source instead. Both
+consume the same uniforms and give the same counts.
+
+The detector kernels are numpy. ``frechet_mix`` models the joint of two
+marginals f and g (cumulative F and G) as theta * P_b + (1 - theta) * f g^T,
+where P_b is a Frechet-Hoeffding extreme, and returns its entropy without
+building the n x n matrix. Each extreme is a staircase: draw U uniform on
+(0, 1] and put X in row i when F[i-1] < U <= F[i]; the upper (comonotone)
+extreme puts Y in column j when G[j-1] < U <= G[j], the lower
+(countermonotone) one when 1 - G[j] <= U < 1 - G[j-1]. Between two
+consecutive breakpoints of the merged sets the cell (i, j) is fixed, so
+P_b has at most 2n - 1 nonzero cells, found with ``np.searchsorted``. The
+lower extreme's breakpoints are taken as 1 - G, not as cumulative sums of
+the reversed g: the rectangle form max(F + G - 1, 0) of that bound puts
+its cell edges exactly at F = 1 - G.
+
+With phi(x) = -x log2 x, every cell off the staircase holds
+(1 - theta) f_i g_j, and summing phi of that over all cells gives
+phi(1 - theta) + (1 - theta) (H(f) + H(g)). The entropy of the mixture is
+that plus, over the staircase cells only,
+phi(theta s_ij + (1 - theta) f_i g_j) - phi((1 - theta) f_i g_j).
+Everything is O(n log n) in the support size n.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,41 +226,17 @@ def beta_counts(alphas, betas, u_max, key, counter):
     return out, counter
 
 
+
 # ---------------------------------------------------------------------------
-# Detector kernels: Pearson coefficients, Frechet-bound joint construction,
-# entropies. The compiled variant uses explicit loops with Kahan-compensated
-# sums; the fallback uses vectorized numpy plus math.fsum.
+# Detector kernels: Pearson coefficient, the staircase Frechet mixture and
+# entropies.
 # ---------------------------------------------------------------------------
 
 
-def _pearson_counts_loops(c1, c2):
-    n = c1.shape[0]
-    m1 = 0.0
-    m2 = 0.0
-    for i in range(n):
-        m1 += c1[i]
-        m2 += c2[i]
-    m1 /= n
-    m2 /= n
-    cov = 0.0
-    v1 = 0.0
-    v2 = 0.0
-    for i in range(n):
-        d1 = c1[i] - m1
-        d2 = c2[i] - m2
-        cov += d1 * d2
-        v1 += d1 * d1
-        v2 += d2 * d2
-    if v1 <= 0.0 or v2 <= 0.0:
-        return 0.0
-    return cov / (math.sqrt(v1) * math.sqrt(v2))
-
-
-def _pearson_counts_numpy(c1, c2):
-    m1 = c1.mean()
-    m2 = c2.mean()
-    d1 = c1 - m1
-    d2 = c2 - m2
+def pearson_counts(c1, c2):
+    """Pearson coefficient of two count vectors; 0 when either is constant."""
+    d1 = c1 - c1.mean()
+    d2 = c2 - c2.mean()
     v1 = float(np.dot(d1, d1))
     v2 = float(np.dot(d2, d2))
     if v1 <= 0.0 or v2 <= 0.0:
@@ -248,43 +244,45 @@ def _pearson_counts_numpy(c1, c2):
     return float(np.dot(d1, d2)) / (math.sqrt(v1) * math.sqrt(v2))
 
 
-def _rho_of_joint_loops(p, f, g, xv, yv):
+def entropy_bits(p):
+    """Shannon entropy in bits of the probabilities in ``p`` (0 log 0 := 0)."""
+    flat = np.asarray(p).ravel()
+    nz = flat[flat > 0.0]
+    if nz.size == 0:
+        return 0.0
+    return -float(np.sum(nz * np.log2(nz)))
+
+
+def _phi(x):
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    out[pos] = -x[pos] * np.log2(x[pos])
+    return out
+
+
+def staircase(f, g, upper):
+    """Nonzero cells of the upper or lower Frechet extreme of f and g.
+
+    Returns (rows, cols, mass): the extreme puts mass[k] on cell
+    (rows[k], cols[k]) and nothing elsewhere.
+    """
     n = f.shape[0]
-    ex = 0.0
-    ex2 = 0.0
-    ey = 0.0
-    ey2 = 0.0
-    for i in range(n):
-        ex += xv[i] * f[i]
-        ex2 += xv[i] * xv[i] * f[i]
-        ey += yv[i] * g[i]
-        ey2 += yv[i] * yv[i] * g[i]
-    vx = ex2 - ex * ex
-    vy = ey2 - ey * ey
-    if vx <= 1e-300 or vy <= 1e-300:
-        return 0.0
-    exy = 0.0
-    comp = 0.0
-    for i in range(n):
-        for j in range(n):
-            term = xv[i] * yv[j] * p[i, j] - comp
-            tot = exy + term
-            comp = (tot - exy) - term
-            exy = tot
-    return (exy - ex * ey) / (math.sqrt(vx) * math.sqrt(vy))
-
-
-def _rho_of_joint_numpy(p, f, g, xv, yv):
-    ex = float(np.dot(xv, f))
-    ex2 = float(np.dot(xv * xv, f))
-    ey = float(np.dot(yv, g))
-    ey2 = float(np.dot(yv * yv, g))
-    vx = ex2 - ex * ex
-    vy = ey2 - ey * ey
-    if vx <= 1e-300 or vy <= 1e-300:
-        return 0.0
-    exy = math.fsum((np.outer(xv, yv) * p).ravel())
-    return (exy - ex * ey) / (math.sqrt(vx) * math.sqrt(vy))
+    F = np.cumsum(f)
+    G = np.cumsum(g)
+    if upper:
+        col_edges = G
+        lo, hi = 0.0, min(F[-1], G[-1])
+    else:
+        col_edges = 1.0 - G[::-1]  # ascending: 1 - G[n-1], ..., 1 - G[0]
+        lo, hi = max(0.0, col_edges[0]), min(F[-1], 1.0)
+    u = np.union1d(np.concatenate((F, col_edges)), (lo, hi))
+    u = u[(u >= lo) & (u <= hi)]
+    left = u[:-1]
+    rows = np.searchsorted(F, left, side="right")
+    cols = np.searchsorted(col_edges, left, side="right")
+    if not upper:
+        cols = n - cols
+    return rows, cols, np.diff(u)
 
 
 # Status codes for frechet_mix.
@@ -293,138 +291,61 @@ MIX_DEGENERATE = 1  # rho_bound == 0 while rho != 0; fell back to f*g
 MIX_CLAMPED = 2  # |rho| exceeded |rho_bound|; theta clamped to [0, 1]
 
 
-# Call target used inside _frechet_mix_loops; rebound to the compiled
-# variant before frechet_mix itself is compiled.
-_rho_joint_impl = _rho_of_joint_loops
+class Mix(NamedTuple):
+    """The joint theta * P_b + (1 - theta) * f g^T and its entropies.
+
+    P_b puts ``mass[k]`` on cell (``rows[k]``, ``cols[k]``); the cell
+    arrays are empty when the joint is the plain product.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    mass: np.ndarray
+    theta: float
+    rho_bound: float
+    h_x: float
+    h_y: float
+    h_xy: float
+    status: int
 
 
-def _frechet_mix_loops(f, g, rho, xv, yv):
-    n = f.shape[0]
-    F = np.empty(n)
-    G = np.empty(n)
-    accf = 0.0
-    accg = 0.0
-    for i in range(n):
-        accf += f[i]
-        accg += g[i]
-        F[i] = accf
-        G[i] = accg
-    p = np.empty((n, n))
+_NO_CELLS = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
+
+
+def frechet_mix(f, g, rho, xv, yv):
+    """Mix of the product and the Frechet extreme whose correlation is rho.
+
+    The extreme is the lower one for rho < 0 and the upper one otherwise;
+    rho_bound is its Pearson coefficient for row values xv and column
+    values yv, and theta = rho / rho_bound clamped to [0, 1]. A product
+    joint (rho == 0, rho_bound == 0 or theta clamped to 0) has
+    h_xy = h_x + h_y exactly.
+    """
+    h_x = entropy_bits(f)
+    h_y = entropy_bits(g)
     if rho == 0.0:
-        for i in range(n):
-            for j in range(n):
-                p[i, j] = f[i] * g[j]
-        return p, 0.0, 0.0, MIX_OK
-    pb = np.empty((n, n))
-    if rho < 0.0:
-        for i in range(n):
-            for j in range(n):
-                c11 = max(F[i] + G[j] - 1.0, 0.0)
-                c01 = max(F[i - 1] + G[j] - 1.0, 0.0) if i > 0 else 0.0
-                c10 = max(F[i] + G[j - 1] - 1.0, 0.0) if j > 0 else 0.0
-                c00 = 0.0
-                if i > 0 and j > 0:
-                    c00 = max(F[i - 1] + G[j - 1] - 1.0, 0.0)
-                v = c11 - c01 - c10 + c00
-                pb[i, j] = v if v > 0.0 else 0.0
-    else:
-        for i in range(n):
-            for j in range(n):
-                c11 = min(F[i], G[j])
-                c01 = min(F[i - 1], G[j]) if i > 0 else 0.0
-                c10 = min(F[i], G[j - 1]) if j > 0 else 0.0
-                c00 = 0.0
-                if i > 0 and j > 0:
-                    c00 = min(F[i - 1], G[j - 1])
-                v = c11 - c01 - c10 + c00
-                pb[i, j] = v if v > 0.0 else 0.0
-    rho_b = _rho_joint_impl(pb, f, g, xv, yv)
+        return Mix(*_NO_CELLS, 0.0, 0.0, h_x, h_y, h_x + h_y, MIX_OK)
+    rows, cols, mass = staircase(f, g, upper=rho > 0.0)
+    ex = float(np.dot(xv, f))
+    ey = float(np.dot(yv, g))
+    vx = float(np.dot(xv * xv, f)) - ex * ex
+    vy = float(np.dot(yv * yv, g)) - ey * ey
+    rho_b = 0.0
+    if vx > 1e-300 and vy > 1e-300:
+        exy = float(np.dot(xv[rows] * yv[cols], mass))
+        rho_b = (exy - ex * ey) / (math.sqrt(vx) * math.sqrt(vy))
     if rho_b == 0.0:
-        for i in range(n):
-            for j in range(n):
-                p[i, j] = f[i] * g[j]
-        return p, 0.0, 0.0, MIX_DEGENERATE
-    theta = rho / rho_b
-    status = MIX_OK
-    if theta < 0.0:
-        theta = 0.0
-        status = MIX_CLAMPED
-    elif theta > 1.0:
-        theta = 1.0
-        status = MIX_CLAMPED
-    for i in range(n):
-        for j in range(n):
-            p[i, j] = theta * pb[i, j] + (1.0 - theta) * f[i] * g[j]
-    return p, theta, rho_b, status
-
-
-def _frechet_mix_numpy(f, g, rho, xv, yv):
-    n = f.shape[0]
-    if rho == 0.0:
-        return np.outer(f, g), 0.0, 0.0, MIX_OK
-    F = np.cumsum(f)
-    G = np.cumsum(g)
-    pad = np.zeros((n + 1, n + 1))
-    if rho < 0.0:
-        pad[1:, 1:] = np.maximum(F[:, None] + G[None, :] - 1.0, 0.0)
-    else:
-        pad[1:, 1:] = np.minimum(F[:, None], G[None, :])
-    pb = pad[1:, 1:] - pad[:-1, 1:] - pad[1:, :-1] + pad[:-1, :-1]
-    np.maximum(pb, 0.0, out=pb)
-    rho_b = _rho_of_joint_numpy(pb, f, g, xv, yv)
-    if rho_b == 0.0:
-        return np.outer(f, g), 0.0, 0.0, MIX_DEGENERATE
+        return Mix(*_NO_CELLS, 0.0, 0.0, h_x, h_y, h_x + h_y, MIX_DEGENERATE)
     theta = rho / rho_b
     status = MIX_OK
     if theta < 0.0 or theta > 1.0:
         theta = min(max(theta, 0.0), 1.0)
         status = MIX_CLAMPED
-    return theta * pb + (1.0 - theta) * np.outer(f, g), theta, rho_b, status
-
-
-def _entropy_bits_loops(p):
-    flat = p.ravel()
-    acc = 0.0
-    comp = 0.0
-    for i in range(flat.shape[0]):
-        v = flat[i]
-        if v > 0.0:
-            term = -v * math.log2(v) - comp
-            tot = acc + term
-            comp = (tot - acc) - term
-            acc = tot
-    return acc
-
-
-def _entropy_bits_numpy(p):
-    flat = np.asarray(p).ravel()
-    nz = flat[flat > 0.0]
-    if nz.size == 0:
-        return 0.0
-    return -math.fsum(nz * np.log2(nz))
-
-
-if NUMBA_ENABLED:
-    pearson_counts = njit(cache=True)(_pearson_counts_loops)
-    rho_of_joint = njit(cache=True)(_rho_of_joint_loops)
-    _rho_joint_impl = rho_of_joint
-    frechet_mix = njit(cache=True)(_frechet_mix_loops)
-    entropy_bits = njit(cache=True)(_entropy_bits_loops)
-else:
-    pearson_counts = _pearson_counts_numpy
-    rho_of_joint = _rho_of_joint_numpy
-    frechet_mix = _frechet_mix_numpy
-    entropy_bits = _entropy_bits_numpy
-
-
-def warmup():
-    """Trigger JIT compilation of every kernel (no-op on the numpy path)."""
-    f = np.array([0.5, 0.5])
-    g = np.array([0.25, 0.75])
-    xv = np.arange(2, dtype=np.float64)
-    frechet_mix(f, g, -0.5, xv, xv)
-    frechet_mix(f, g, 0.5, xv, xv)
-    entropy_bits(np.outer(f, g))
-    pearson_counts(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
-    rho_of_joint(np.outer(f, g), f, g, xv, xv)
-    beta_counts(np.array([2.0]), np.array([5.0]), 10, stream_key(0, 0), 0)
+    if theta == 0.0:
+        return Mix(rows, cols, mass, 0.0, rho_b, h_x, h_y, h_x + h_y, status)
+    rest = 1.0 - theta
+    q = rest * f[rows] * g[cols]
+    h_xy = rest * (h_x + h_y) + float(np.sum(_phi(theta * mass + q) - _phi(q)))
+    if rest > 0.0:
+        h_xy -= rest * math.log2(rest)
+    return Mix(rows, cols, mass, theta, rho_b, h_x, h_y, h_xy, status)

@@ -23,7 +23,7 @@ from flashcrowd.generator import (
     generate,
 )
 from flashcrowd.trace import BinnedTrace
-from util_joint import exact_joint
+from util_joint import dense_rho_of_joint, exact_joint
 
 
 def trace_of(*bins, width=1.0):
@@ -128,10 +128,8 @@ class TestFrechetJoint:
                 assert np.max(np.abs(joint.p.sum(axis=0) - pair.g)) < 1e-9
                 assert abs(joint.p.sum() - 1.0) < 1e-9
                 assert 0.0 <= joint.theta <= 1.0
-                from flashcrowd import kernels
-
                 xv = np.arange(m, dtype=np.float64)
-                rho_hat = kernels.rho_of_joint(joint.p, pair.f, pair.g, xv, xv)
+                rho_hat = dense_rho_of_joint(joint.p, pair.f, pair.g, xv, xv)
                 assert abs(rho_hat - rho) < 1e-6
 
     def test_componentwise_bound_chain(self):
@@ -287,6 +285,15 @@ class TestDetect:
         series = detect(BinnedTrace(1.0, bins, set()), w=1)
         assert [p.t for p in series.points] == [1, 3, 4]
 
+    def test_product_joint_after_zero_warmup_opens_no_event(self):
+        # Identical uniform bins give C = 0 through the warm-up, so sigma is
+        # 0 and any C > 0 would flag. The last pair has a constant side
+        # (rho = 0): its joint is the product and C must be exactly 0.
+        bins = [{0: 1, 1: 1}] * 6 + [{0: 1, 1: 4}]
+        series = detect(BinnedTrace(1.0, bins, set()), w=1, flag_cfg=FlagConfig(m=1, warmup=5))
+        assert [p.c_xy for p in series.points] == [0.0] * 6
+        assert series.events == []
+
     def test_online_matches_batch(self):
         trace = generate(flash_config(2, horizon=600, up=(200, 260), down=(420, 480)))
         det = Detector(w=1, flag_cfg=FlagConfig(warmup=80))
@@ -301,7 +308,7 @@ class TestExactOracle:
     """rho_bound, theta and H(X, Y) against the rational staircase oracle."""
 
     @pytest.mark.filterwarnings("ignore::flashcrowd.detector.DegenerateBound")
-    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 300])
     def test_matches_exact_staircase(self, n):
         rng = np.random.default_rng(100 + n)
         for _ in range(3 if n < 300 else 1):

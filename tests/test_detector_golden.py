@@ -4,6 +4,11 @@
 detector points (t, C) and the flagged events as the dense n x n joint
 computed them. Kernel rewrites must reproduce C to 1e-9 bits and the
 same points and events.
+
+One event differs from the dense kernel's: on scenario1 seed 94 it gave
+C = 2.2e-16 instead of 0 on the product joint at t = 122, after an all-zero
+warm-up, and opened the event there; C on a product joint is now exactly
+0 and the event opens at t = 123.
 """
 
 import json

@@ -1,4 +1,4 @@
-"""Compiled-vs-fallback kernel equivalence and sampler correctness."""
+"""Staircase joint against the dense reference, and sampler correctness."""
 
 import os
 import subprocess
@@ -11,19 +11,14 @@ import scipy.stats
 from flashcrowd import kernels
 from flashcrowd.kernels import (
     _draw_beta_impl,
-    _entropy_bits_loops,
-    _entropy_bits_numpy,
     _fill_counts_impl,
-    _frechet_mix_loops,
-    _frechet_mix_numpy,
-    _pearson_counts_loops,
-    _pearson_counts_numpy,
-    _rho_of_joint_loops,
-    _rho_of_joint_numpy,
     beta_counts,
+    frechet_mix,
+    pearson_counts,
     stream_key,
     unit_block,
 )
+from util_joint import dense_entropy_bits, dense_frechet_mix, dense_rho_of_joint
 
 
 def random_marginal(rng, n):
@@ -47,41 +42,69 @@ def test_stream_keys_differ_across_streams_and_seeds():
     assert len(keys) == 150
 
 
-def test_loops_and_numpy_variants_agree():
+def dense_of(mix, f, g):
+    p = (1.0 - mix.theta) * np.outer(f, g)
+    p[mix.rows, mix.cols] += mix.theta * mix.mass
+    return p
+
+
+def test_staircase_matches_dense_reference():
     rng = np.random.default_rng(42)
     for n in (1, 2, 3, 7, 20):
         f = random_marginal(rng, n)
         g = random_marginal(rng, n)
         xv = np.arange(n, dtype=np.float64)
         for rho in (-0.9, -0.3, 0.0, 0.4, 1.0):
-            p1, th1, rb1, st1 = _frechet_mix_loops(f, g, rho, xv, xv)
-            p2, th2, rb2, st2 = _frechet_mix_numpy(f, g, rho, xv, xv)
-            assert st1 == st2
-            assert abs(th1 - th2) < 1e-12
-            assert abs(rb1 - rb2) < 1e-12
-            assert np.max(np.abs(p1 - p2)) < 1e-12
-            assert abs(_entropy_bits_loops(p1) - _entropy_bits_numpy(p2)) < 1e-10
-            assert (
-                abs(_rho_of_joint_loops(p1, f, g, xv, xv) - _rho_of_joint_numpy(p2, f, g, xv, xv))
-                < 1e-12
-            )
+            mix = frechet_mix(f, g, rho, xv, xv)
+            p_ref, th_ref, rb_ref, st_ref = dense_frechet_mix(f, g, rho, xv, xv)
+            assert mix.status == st_ref
+            assert abs(mix.theta - th_ref) < 1e-12
+            assert abs(mix.rho_bound - rb_ref) < 1e-12
+            p = dense_of(mix, f, g)
+            assert np.max(np.abs(p - p_ref)) < 1e-12
+            assert abs(mix.h_xy - dense_entropy_bits(p_ref)) < 1e-10
+            rho_p = dense_rho_of_joint(p, f, g, xv, xv)
+            assert abs(rho_p - dense_rho_of_joint(p_ref, f, g, xv, xv)) < 1e-12
         c1 = rng.integers(0, 20, n).astype(np.float64)
         c2 = rng.integers(0, 20, n).astype(np.float64)
-        assert abs(_pearson_counts_loops(c1, c2) - _pearson_counts_numpy(c1, c2)) < 1e-12
+        want = np.corrcoef(c1, c2)[0, 1] if c1.std() > 0 and c2.std() > 0 else 0.0
+        assert abs(pearson_counts(c1, c2) - want) < 1e-12
 
 
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="compiled path not active")
-def test_compiled_kernels_match_source():
-    rng = np.random.default_rng(3)
-    f = random_marginal(rng, 9)
-    g = random_marginal(rng, 9)
-    xv = np.arange(9, dtype=np.float64)
-    for rho in (-0.7, 0.0, 0.6):
-        p1, th1, rb1, st1 = kernels.frechet_mix(f, g, rho, xv, xv)
-        p2, th2, rb2, st2 = _frechet_mix_loops(f, g, rho, xv, xv)
-        assert st1 == st2 and abs(th1 - th2) < 1e-15
-        assert np.array_equal(p1, p2)
-        assert kernels.entropy_bits(p1) == _entropy_bits_loops(p2)
+def test_staircase_cells_cover_each_extreme_once():
+    # At most 2n - 1 cells, each distinct, rows and columns monotone, and
+    # the cell masses sum to the marginals.
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 9, 200):
+        f = random_marginal(rng, n)
+        g = random_marginal(rng, n)
+        if n > 1:
+            f[rng.integers(0, n)] = 0.0  # a zero-mass row must get no cell
+            f /= f.sum()
+        for upper in (True, False):
+            rows, cols, mass = kernels.staircase(f, g, upper)
+            assert len(rows) <= 2 * n - 1
+            assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+            assert (np.diff(rows) >= 0).all()
+            assert (np.diff(cols) >= 0).all() if upper else (np.diff(cols) <= 0).all()
+            assert (mass > 0.0).all()
+            assert np.allclose(np.bincount(rows, mass, n), f, atol=1e-12)
+            assert np.allclose(np.bincount(cols, mass, n), g, atol=1e-12)
+
+
+def test_product_joint_entropy_is_exactly_the_marginal_sum():
+    rng = np.random.default_rng(9)
+    xv = np.arange(6, dtype=np.float64)
+    f = random_marginal(rng, 6)
+    g = random_marginal(rng, 6)
+    mix = frechet_mix(f, g, 0.0, xv, xv)
+    assert mix.status == kernels.MIX_OK and len(mix.rows) == 0
+    assert mix.h_xy == mix.h_x + mix.h_y
+    point = np.zeros(6)
+    point[2] = 1.0
+    mix = frechet_mix(point, g, 0.5, xv, xv)
+    assert mix.status == kernels.MIX_DEGENERATE
+    assert mix.h_x + mix.h_y - mix.h_xy == 0.0
 
 
 def test_beta_stream_identical_between_paths():

@@ -1,6 +1,8 @@
 """Reference joints for the detector kernels.
 
-``exact_joint`` is the oracle: the Frechet-extreme staircase in exact
+``dense_frechet_mix`` builds the joint as an n x n matrix from rectangle
+differences of the Frechet bound, the way the detector did before the
+staircase kernel. ``exact_joint`` is the oracle: the Frechet-extreme staircase in exact
 rational arithmetic from integer counts, and the joint entropy summed over
 all n x n cells of the mixture, not through the staircase decomposition
 the kernel uses.
@@ -11,6 +13,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from flashcrowd.kernels import MIX_CLAMPED, MIX_DEGENERATE, MIX_OK
 
 
 def _marginal(counts):
@@ -80,3 +84,47 @@ def exact_joint(c_prev, c_now, rho):
         stair.append(float(theta * s + (1 - theta) * f[i] * g[j]))
     h_xy = _phi_sum(product.ravel()) + _phi_sum(stair)
     return rho_bound, float(theta), h_xy
+
+
+def dense_rho_of_joint(p, f, g, xv, yv):
+    """Pearson coefficient of a dense joint ``p`` with marginals f and g."""
+    ex = float(np.dot(xv, f))
+    ex2 = float(np.dot(xv * xv, f))
+    ey = float(np.dot(yv, g))
+    ey2 = float(np.dot(yv * yv, g))
+    vx = ex2 - ex * ex
+    vy = ey2 - ey * ey
+    if vx <= 1e-300 or vy <= 1e-300:
+        return 0.0
+    exy = math.fsum((np.outer(xv, yv) * p).ravel())
+    return (exy - ex * ey) / (math.sqrt(vx) * math.sqrt(vy))
+
+
+def dense_frechet_mix(f, g, rho, xv, yv):
+    """(p, theta, rho_bound, status) of the mixture, p dense n x n."""
+    n = f.shape[0]
+    if rho == 0.0:
+        return np.outer(f, g), 0.0, 0.0, MIX_OK
+    F = np.cumsum(f)
+    G = np.cumsum(g)
+    pad = np.zeros((n + 1, n + 1))
+    if rho < 0.0:
+        pad[1:, 1:] = np.maximum(F[:, None] + G[None, :] - 1.0, 0.0)
+    else:
+        pad[1:, 1:] = np.minimum(F[:, None], G[None, :])
+    pb = pad[1:, 1:] - pad[:-1, 1:] - pad[1:, :-1] + pad[:-1, :-1]
+    np.maximum(pb, 0.0, out=pb)
+    rho_b = dense_rho_of_joint(pb, f, g, xv, yv)
+    if rho_b == 0.0:
+        return np.outer(f, g), 0.0, 0.0, MIX_DEGENERATE
+    theta = rho / rho_b
+    status = MIX_OK
+    if theta < 0.0 or theta > 1.0:
+        theta = min(max(theta, 0.0), 1.0)
+        status = MIX_CLAMPED
+    return theta * pb + (1.0 - theta) * np.outer(f, g), theta, rho_b, status
+
+
+def dense_entropy_bits(p):
+    """Entropy in bits of a dense joint, summed over all its cells."""
+    return _phi_sum(np.asarray(p).ravel())
