@@ -598,8 +598,11 @@ def run_baseline(scenario: ScenarioConfig) -> RunReport:
     fleet = new_fleet(cfg)
     # On-time per-period demand: each access due at min(client bandwidth,
     # remaining) per period from its arrival bin, like the planning model.
+    # Demand that falls due after the last bin is never offered to the
+    # fleet; it stays unserved.
     due = [0.0] * (trace.horizon + 2)
     arrivals = [0.0] * (trace.horizon + 2)
+    late = 0.0
     for t0 in range(1, trace.horizon + 1):
         for cid, count in trace.bins[t0 - 1].items():
             if count <= 0:
@@ -610,6 +613,8 @@ def run_baseline(scenario: ScenarioConfig) -> RunReport:
             ):
                 if t0 + dt <= trace.horizon:
                     due[t0 + dt] += count * amount
+                else:
+                    late += count * amount
     for t in range(1, trace.horizon + 1):
         demand = due[t]
         res = baseline_step(fleet, demand)
@@ -632,7 +637,7 @@ def run_baseline(scenario: ScenarioConfig) -> RunReport:
         report.backlog_periods += res.backlogged
         report.peak_fleet = max(report.peak_fleet, res.active)
     report.total_cost = fleet.cumulative_cost
-    report.unserved_bytes = fleet.backlog
+    report.unserved_bytes = fleet.backlog + late
     return report
 
 
