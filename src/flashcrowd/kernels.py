@@ -226,7 +226,6 @@ def beta_counts(alphas, betas, u_max, key, counter):
     return out, counter
 
 
-
 # ---------------------------------------------------------------------------
 # Detector kernels: Pearson coefficient, the staircase Frechet mixture and
 # entropies.
@@ -254,6 +253,7 @@ def entropy_bits(p):
 
 
 def _phi(x):
+    """-x log2 x elementwise, with 0 at x = 0."""
     out = np.zeros_like(x)
     pos = x > 0.0
     out[pos] = -x[pos] * np.log2(x[pos])
@@ -323,19 +323,20 @@ def frechet_mix(f, g, rho, xv, yv):
     """
     h_x = entropy_bits(f)
     h_y = entropy_bits(g)
+    product = Mix(*_NO_CELLS, 0.0, 0.0, h_x, h_y, h_x + h_y, MIX_OK)
     if rho == 0.0:
-        return Mix(*_NO_CELLS, 0.0, 0.0, h_x, h_y, h_x + h_y, MIX_OK)
-    rows, cols, mass = staircase(f, g, upper=rho > 0.0)
+        return product
     ex = float(np.dot(xv, f))
     ey = float(np.dot(yv, g))
     vx = float(np.dot(xv * xv, f)) - ex * ex
     vy = float(np.dot(yv * yv, g)) - ey * ey
-    rho_b = 0.0
-    if vx > 1e-300 and vy > 1e-300:
-        exy = float(np.dot(xv[rows] * yv[cols], mass))
-        rho_b = (exy - ex * ey) / (math.sqrt(vx) * math.sqrt(vy))
+    if vx <= 1e-300 or vy <= 1e-300:
+        return product._replace(status=MIX_DEGENERATE)
+    rows, cols, mass = staircase(f, g, upper=rho > 0.0)
+    exy = float(np.dot(xv[rows] * yv[cols], mass))
+    rho_b = (exy - ex * ey) / (math.sqrt(vx) * math.sqrt(vy))
     if rho_b == 0.0:
-        return Mix(*_NO_CELLS, 0.0, 0.0, h_x, h_y, h_x + h_y, MIX_DEGENERATE)
+        return product._replace(status=MIX_DEGENERATE)
     theta = rho / rho_b
     status = MIX_OK
     if theta < 0.0 or theta > 1.0:
