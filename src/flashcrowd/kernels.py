@@ -275,14 +275,18 @@ def staircase(f, g, upper):
     else:
         col_edges = 1.0 - G[::-1]  # ascending: 1 - G[n-1], ..., 1 - G[0]
         lo, hi = max(0.0, col_edges[0]), min(F[-1], 1.0)
-    u = np.union1d(np.concatenate((F, col_edges)), (lo, hi))
+    u = np.sort(np.concatenate((F, col_edges, (lo, hi))))
     u = u[(u >= lo) & (u <= hi)]
-    left = u[:-1]
+    # Each interval between distinct breakpoints is one cell. (np.unique
+    # would drop the repeats too, but it imports numpy.ma, about 1 MB.)
+    mass = np.diff(u)
+    keep = mass > 0.0
+    left = u[:-1][keep]
     rows = np.searchsorted(F, left, side="right")
     cols = np.searchsorted(col_edges, left, side="right")
     if not upper:
         cols = n - cols
-    return rows, cols, np.diff(u)
+    return rows, cols, mass[keep]
 
 
 # Status codes for frechet_mix.
