@@ -275,10 +275,15 @@ def staircase(f, g, upper):
     else:
         col_edges = 1.0 - G[::-1]  # ascending: 1 - G[n-1], ..., 1 - G[0]
         lo, hi = max(0.0, col_edges[0]), min(F[-1], 1.0)
-    u = np.sort(np.concatenate((F, col_edges, (lo, hi))))
-    u = u[(u >= lo) & (u <= hi)]
-    # Each interval between distinct breakpoints is one cell. (np.unique
-    # would drop the repeats too, but it imports numpy.ma, about 1 MB.)
+    # Merge the two ascending edge sets by rank rather than by sorting:
+    # the first np.sort of a process maps about 0.3 MB of code that the
+    # detector otherwise never touches.
+    u = np.empty(2 * n)
+    k = np.arange(n)
+    u[k + np.searchsorted(col_edges, F, side="left")] = F
+    u[k + np.searchsorted(F, col_edges, side="right")] = col_edges
+    u = np.concatenate(((lo,), u[(u > lo) & (u < hi)], (hi,)))
+    # Each interval between distinct breakpoints is one cell.
     mass = np.diff(u)
     keep = mass > 0.0
     left = u[:-1][keep]

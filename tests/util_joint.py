@@ -1,11 +1,11 @@
 """Reference joints for the detector kernels.
 
 ``dense_frechet_mix`` builds the joint as an n x n matrix from rectangle
-differences of the Frechet bound, the way the detector did before the
-staircase kernel. ``exact_joint`` is the oracle: the Frechet-extreme staircase in exact
-rational arithmetic from integer counts, and the joint entropy summed over
-all n x n cells of the mixture, not through the staircase decomposition
-the kernel uses.
+differences of the Frechet bound, a route to the same joint that shares
+no code with the staircase kernel. ``exact_joint`` is the oracle: the
+Frechet-extreme staircase in exact rational arithmetic from integer
+counts, and the joint entropy summed over all n x n cells of the
+mixture, not through the staircase decomposition the kernel uses.
 """
 
 import bisect
