@@ -304,7 +304,7 @@ class Mix(NamedTuple):
     """The joint theta * P_b + (1 - theta) * f g^T and its entropies.
 
     P_b puts ``mass[k]`` on cell (``rows[k]``, ``cols[k]``); the cell
-    arrays are empty when the joint is the plain product.
+    arrays are empty when rho is 0 or the bound is degenerate.
     """
 
     rows: np.ndarray
