@@ -148,8 +148,7 @@ class OperationalPlan:
             occ[t] += size
 
     def _ensure_window(
-        self, k: int, j: int, t: int, *, end_hint: int | None = None,
-        allow_evict: bool = False,
+        self, k: int, j: int, t: int, *, allow_evict: bool = False
     ) -> None:
         """Make (k, j) hold a replica at t.
 
@@ -189,10 +188,8 @@ class OperationalPlan:
             nxt.arrive = t
             nxt.uses[t] = nxt.uses.get(t, 0) + 1
             return
-        # New window: take the longest storable span starting at t, at
-        # most up to end_hint (used when reverting) or the next window.
-        if end_hint is not None:
-            bound = min(bound, end_hint)
+        # New window: take the longest storable span starting at t, up to
+        # the next window.
         if not self._storage_free(j, size, t, t + 1):
             if not (allow_evict and self._evict_lru(j, size, t, t + 1, exclude=(k, j))):
                 raise _MoveFailed("no storage for replica")
@@ -207,13 +204,12 @@ class OperationalPlan:
         self._occupy(j, size, t, end)
         self.repl_cost += content.copy_cost
 
-    def _release_window(self, k: int, j: int, t: int) -> tuple[int, int] | None:
-        """Drop one use at t; returns (arrive, end) if the window vanished.
+    def _release_window(self, k: int, j: int, t: int) -> None:
+        """Drop one use at t.
 
-        A surviving window is tightened to [min(uses), max(uses) + 1] when
-        its boundary use went away, so rolled-back moves never leave phantom
-        storage claims behind (spans may end up tighter than before the
-        move; placements and costs are restored exactly).
+        A window left without uses vanishes and refunds its copy cost; a
+        surviving window is tightened to [min(uses), max(uses) + 1] when its
+        boundary use went away, so it claims no storage it does not use.
         """
         wins = self.windows[(k, j)]
         for w in wins:
@@ -222,13 +218,13 @@ class OperationalPlan:
                 if w.uses[t] == 0:
                     del w.uses[t]
                 if w.origin:
-                    return None
+                    return
                 content = self.inst.content_by_id[k]
                 if not w.uses:
                     wins.remove(w)
                     self._occupy(j, -content.size, w.arrive, w.end)
                     self.repl_cost -= content.copy_cost
-                    return (w.arrive, w.end)
+                    return
                 new_arrive = min(w.uses)
                 if new_arrive > w.arrive:
                     self._occupy(j, -content.size, w.arrive, new_arrive)
@@ -237,7 +233,7 @@ class OperationalPlan:
                 if new_end < w.end:
                     self._occupy(j, -content.size, new_end, w.end)
                     w.end = new_end
-                return None
+                return
         raise AssertionError("released a use that was never tracked")
 
     def _evict_lru(
@@ -268,8 +264,7 @@ class OperationalPlan:
         return self.inst.request_by_id[req].demand[o]
 
     def place(
-        self, req: int, o: int, j: int, t: int, *,
-        end_hint: int | None = None, allow_evict: bool = False,
+        self, req: int, o: int, j: int, t: int, *, allow_evict: bool = False
     ) -> None:
         """Serve slice (req, o) on server j at period t; raises _MoveFailed."""
         inst = self.inst
@@ -282,7 +277,7 @@ class OperationalPlan:
         if self.bw_used.get((j, t), 0.0) + amount > srv.bandwidth + 1e-9:
             raise _MoveFailed("server bandwidth")
         k = inst.request_by_id[req].content
-        self._ensure_window(k, j, t, end_hint=end_hint, allow_evict=allow_evict)
+        self._ensure_window(k, j, t, allow_evict=allow_evict)
         self.placements[(req, o)] = (j, t)
         self.events.setdefault((k, j, t), set()).add((req, o))
         self.bw_used[(j, t)] = self.bw_used.get((j, t), 0.0) + amount
@@ -298,8 +293,8 @@ class OperationalPlan:
             if self.z_count[zkey] == 1:
                 self.fin_cost += srv.cost / self.m
 
-    def unplace(self, req: int, o: int) -> tuple[int, int, tuple[int, int] | None]:
-        """Remove a slice placement; returns (j, t, dropped window span)."""
+    def unplace(self, req: int, o: int) -> None:
+        """Remove a slice placement."""
         inst = self.inst
         j, t = self.placements.pop((req, o))
         amount = self._slice_amount(req, o)
@@ -323,8 +318,7 @@ class OperationalPlan:
             if self.z_count[zkey] == 0:
                 del self.z_count[zkey]
                 self.fin_cost -= srv.cost / self.m
-        dropped = self._release_window(k, j, t)
-        return j, t, dropped
+        self._release_window(k, j, t)
 
     # -- cloning and export --------------------------------------------------
 
@@ -399,7 +393,8 @@ class OperationalPlan:
 # ---------------------------------------------------------------------------
 # Moves. A move relocates whole slices between (server, period) events and
 # is applied transactionally: all sources are unplaced, all targets placed,
-# rolled back completely on the first failure.
+# and on the first failure every touched plan entry is restored from the
+# move's undo record.
 # ---------------------------------------------------------------------------
 
 
@@ -413,52 +408,94 @@ class Move:
     fresh_keys: tuple[tuple[int, int, int], ...] = ()
 
 
+_ABSENT = object()
+
+
 @dataclass
 class AppliedMove:
     """Undo record of a successfully applied move."""
 
     delta: float
     snapshot: tuple[float, float, float, float]
-    # Source positions in unplace order, with the span of any replica
-    # window the unplace dropped (its end is reused when reverting, so a
-    # revert can never fail on storage the original state had).
-    sources: list[tuple[tuple[int, int], int, int, tuple[int, int] | None]]
-    placed: list[tuple[int, int]]
+    # (table, key, value before the move, or _ABSENT) for every plan entry
+    # the move can touch; restoring them undoes the move exactly.
+    entries: list[tuple[dict, object, object]]
+
+
+def _undo_entries(plan: OperationalPlan, move: Move) -> list[tuple[dict, object, object]]:
+    """Pre-move values of every plan entry that applying ``move`` can touch.
+
+    Moves never evict, so a relocation from (j, t) to (j2, t2) touches only
+    its slice's placement and, at both ends, the event, bandwidth, client,
+    attendance and hire entries, the content's windows and the server's
+    storage column.
+    """
+    inst = plan.inst
+    placements, events, bw, client, xs, zs, windows, servers = (set() for _ in range(8))
+    for sl, (j2, t2) in move.relocations:
+        req = sl[0]
+        k = inst.request_by_id[req].content
+        placements.add(sl)
+        for j, t in (plan.placements[sl], (j2, t2)):
+            events.add((k, j, t))
+            bw.add((j, t))
+            client.add((req, t))
+            xs.add((req, j, t))
+            zs.add((j, inst.slot_of(t)))
+            windows.add((k, j))
+            servers.add(j)
+    entries = []
+    for table, table_keys, copy in (
+        (plan.placements, placements, None),
+        (plan.events, events, set),
+        (plan.bw_used, bw, None),
+        (plan.client_used, client, None),
+        (plan.x_count, xs, None),
+        (plan.z_count, zs, None),
+        (plan.windows, windows, lambda wins: [w.copy() for w in wins]),
+        (plan.occ, servers, list),
+    ):
+        for key in table_keys:
+            value = table.get(key, _ABSENT)
+            if copy is not None and value is not _ABSENT:
+                value = copy(value)
+            entries.append((table, key, value))
+    return entries
 
 
 def apply_move(plan: OperationalPlan, move: Move) -> AppliedMove | None:
-    """Apply a move transactionally; returns its undo record, or None."""
+    """Apply a move transactionally; returns its undo record, or None.
+
+    A failed move leaves the plan exactly as it was.
+    """
     snap = plan.cost_snapshot()
     before = plan.total_cost()
-    done: list[tuple[tuple[int, int], int, int, tuple[int, int] | None]] = []
-    placed: list[tuple[int, int]] = []
+    entries = _undo_entries(plan, move)
     try:
         for (sl, _target) in move.relocations:
-            j, t, dropped = plan.unplace(*sl)
-            done.append((sl, j, t, dropped))
+            plan.unplace(*sl)
         for key in move.fresh_keys:
             if key in plan.events:
                 raise _MoveFailed("destination event already exists")
         for (sl, (j, t)) in move.relocations:
             plan.place(sl[0], sl[1], j, t)
-            placed.append(sl)
     except _MoveFailed:
-        _restore(plan, snap, done, placed)
+        _restore(plan, snap, entries)
         return None
-    return AppliedMove(plan.total_cost() - before, snap, done, placed)
+    return AppliedMove(plan.total_cost() - before, snap, entries)
 
 
 def revert_move(plan: OperationalPlan, applied: AppliedMove) -> None:
     """Roll back a successfully applied move exactly."""
-    _restore(plan, applied.snapshot, applied.sources, applied.placed)
+    _restore(plan, applied.snapshot, applied.entries)
 
 
-def _restore(plan, snap, done, placed) -> None:
-    for sl in reversed(placed):
-        plan.unplace(*sl)
-    for sl, j, t, dropped in reversed(done):
-        end_hint = dropped[1] if dropped else None
-        plan.place(sl[0], sl[1], j, t, end_hint=end_hint)
+def _restore(plan, snap, entries) -> None:
+    for table, key, value in entries:
+        if value is _ABSENT:
+            table.pop(key, None)
+        else:
+            table[key] = value
     plan.restore_costs(snap)
 
 

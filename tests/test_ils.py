@@ -148,6 +148,25 @@ class TestRvnd:
         assert plan.total_cost() < before
 
 
+def plan_state(plan):
+    """Every table of a plan, with windows as comparable tuples."""
+    windows = {
+        key: sorted((w.arrive, w.end, sorted(w.uses.items()), w.origin) for w in wins)
+        for key, wins in plan.windows.items()
+    }
+    return (
+        dict(plan.placements),
+        {key: set(v) for key, v in plan.events.items()},
+        dict(plan.bw_used),
+        dict(plan.client_used),
+        dict(plan.x_count),
+        dict(plan.z_count),
+        windows,
+        {j: list(col) for j, col in plan.occ.items()},
+        plan.cost_snapshot(),
+    )
+
+
 class TestMoves:
     def plans(self, n=12, seed=2):
         rng = random.Random(seed)
@@ -186,21 +205,27 @@ class TestMoves:
                     assert plan.total_cost() == pytest.approx(before_cost, abs=1e-9)
 
     def test_revert_restores_exactly(self):
+        reverted = failed = 0
         for plan in self.plans(n=6, seed=8):
-            before_place = dict(plan.placements)
-            before_cost = plan.cost_snapshot()
-            moves = shift_candidates(plan) + delay_candidates(plan, 1)
-            reverted = 0
-            for move in moves:
-                if reverted >= 6:
-                    break
-                applied = apply_move(plan, move)
-                if applied is None:
-                    continue
-                revert_move(plan, applied)
-                reverted += 1
-                assert plan.placements == before_place
-                assert plan.cost_snapshot() == before_cost
+            before = plan_state(plan)
+            rng = random.Random(5)
+            pools = [
+                shift_candidates(plan),
+                swap_candidates(plan, rng, 0.05),
+                split_candidates(plan),
+                merge_candidates(plan),
+                delay_candidates(plan, 1),
+            ]
+            for pool in pools:
+                for move in pool[:40]:
+                    applied = apply_move(plan, move)
+                    if applied is None:
+                        failed += 1
+                    else:
+                        revert_move(plan, applied)
+                        reverted += 1
+                    assert plan_state(plan) == before, move
+        assert reverted >= 100 and failed >= 100
 
     def test_moves_preserve_feasibility(self):
         rng = random.Random(31)
