@@ -13,6 +13,21 @@ d-Delay) with first-improvement acceptance and random neighborhood
 ordering; a failed neighborhood leaves the candidate set until some move
 improves. Perturbation applies level + 1 random feasible moves from
 {Shift, Swap, Split, Merge}.
+
+How a candidate is judged: ``cannot_improve`` first screens it without
+touching the plan. It flags moves that would certainly fail (an existing
+fresh destination event, a period outside [arrival, horizon], bandwidth
+exceeded well beyond place's tolerance) and moves whose cost delta has a
+lower bound >= 0.0. The bound is the exact backlog, attendance and hire
+delta (penalty prefix sums, x_count and z_count transitions) minus the copy
+cost of every non-origin source window the move empties; target windows can
+only add copy cost, so the bound never exceeds the true delta. Descent
+accepts only delta < -EPS, and the threshold is 0.0 rather than -EPS so that
+rounding between the bound and the applied delta cannot reject a move the
+search would accept. Only the remaining moves are applied. ``apply_move``
+records the prior value of every plan entry a move can touch and restores
+them exactly on failure or revert, so a rejected move leaves no trace and
+screening changes no search outcome.
 """
 
 from __future__ import annotations
@@ -111,6 +126,8 @@ class OperationalPlan:
             for t in range(1, tf + 1):
                 acc[t + 1] = acc[t] + r.penalty_at(t)
             self._pen[r.id] = acc
+        # Billing slot of each period 0..horizon + 1.
+        self.slot = [inst.slot_of(t) for t in range(tf + 2)]
         # Origin replicas are pinned for the whole content lifetime.
         for c in inst.contents:
             w = _Window(c.start, tf + 1, origin=True)
@@ -288,7 +305,7 @@ class OperationalPlan:
         if self.x_count[xkey] == 1:
             self.attend_cost += inst.request_by_id[req].attend_cost
         if srv.kind == HIRABLE:
-            zkey = (j, inst.slot_of(t))
+            zkey = (j, self.slot[t])
             self.z_count[zkey] = self.z_count.get(zkey, 0) + 1
             if self.z_count[zkey] == 1:
                 self.fin_cost += srv.cost / self.m
@@ -313,7 +330,7 @@ class OperationalPlan:
             self.attend_cost -= inst.request_by_id[req].attend_cost
         srv = inst.server_by_id[j]
         if srv.kind == HIRABLE:
-            zkey = (j, inst.slot_of(t))
+            zkey = (j, self.slot[t])
             self.z_count[zkey] -= 1
             if self.z_count[zkey] == 0:
                 del self.z_count[zkey]
@@ -339,6 +356,7 @@ class OperationalPlan:
         new.repl_cost = self.repl_cost
         new.fin_cost = self.fin_cost
         new._pen = self._pen
+        new.slot = self.slot
         return new
 
     def cost_snapshot(self) -> tuple[float, float, float, float]:
@@ -409,6 +427,9 @@ class Move:
 
 
 _ABSENT = object()
+# Bandwidth excess that the screen treats as a certain failure: far above
+# place's 1e-9 tolerance, so float summation order cannot flip a decision.
+_SURE_EXCESS = 1e-6
 
 
 @dataclass
@@ -431,6 +452,7 @@ def _undo_entries(plan: OperationalPlan, move: Move) -> list[tuple[dict, object,
     storage column.
     """
     inst = plan.inst
+    slot = plan.slot
     placements, events, bw, client, xs, zs, windows, servers = (set() for _ in range(8))
     for sl, (j2, t2) in move.relocations:
         req = sl[0]
@@ -441,7 +463,8 @@ def _undo_entries(plan: OperationalPlan, move: Move) -> list[tuple[dict, object,
             bw.add((j, t))
             client.add((req, t))
             xs.add((req, j, t))
-            zs.add((j, inst.slot_of(t)))
+            if 0 <= t < len(slot):  # place rejects other periods untouched
+                zs.add((j, slot[t]))
             windows.add((k, j))
             servers.add(j)
     entries = []
@@ -461,6 +484,103 @@ def _undo_entries(plan: OperationalPlan, move: Move) -> list[tuple[dict, object,
                 value = copy(value)
             entries.append((table, key, value))
     return entries
+
+
+def cannot_improve(plan: OperationalPlan, move: Move) -> bool:
+    """True only if ``apply_move(plan, move)`` would certainly fail or
+    return a delta >= -EPS. Reads the plan and never changes it.
+
+    Certain failures: a fresh key that exists and is not one of the move's
+    own source events, a target period outside [arrival, horizon], and a
+    server or client bandwidth that the move's targets would exceed by
+    clearly more than place's 1e-9 tolerance once its sources are freed.
+    Otherwise the move is rejected when a lower bound on its delta is
+    >= 0.0: the exact backlog, attendance and hire terms, minus the copy
+    cost of every non-origin source window that loses all its uses.
+    """
+    inst = plan.inst
+    requests = inst.request_by_id
+    servers = inst.server_by_id
+    placements = plan.placements
+    windows = plan.windows
+    slot = plan.slot
+    horizon = inst.horizon
+    bound = 0.0
+    sources = set()
+    x_delta: dict[tuple[int, int, int], int] = {}
+    z_delta: dict[tuple[int, int], int] = {}
+    emptied: dict[_Window, list] = {}  # window -> [uses removed, copy cost]
+    for sl, (j2, t2) in move.relocations:
+        req, o = sl
+        if not o <= t2 <= horizon:
+            return True
+        j, t = placements[sl]
+        r = requests[req]
+        k = r.content
+        pen = plan._pen[req]
+        bound += (pen[t2] - pen[t]) * r.demand[o]
+        sources.add((k, j, t))
+        key = (req, j, t)
+        x_delta[key] = x_delta.get(key, 0) - 1
+        key = (req, j2, t2)
+        x_delta[key] = x_delta.get(key, 0) + 1
+        if servers[j].kind == HIRABLE:
+            key = (j, slot[t])
+            z_delta[key] = z_delta.get(key, 0) - 1
+        if servers[j2].kind == HIRABLE:
+            key = (j2, slot[t2])
+            z_delta[key] = z_delta.get(key, 0) + 1
+        for w in windows[(k, j)]:
+            if w.arrive <= t < w.end:
+                if not w.origin:
+                    entry = emptied.setdefault(w, [0, inst.content_by_id[k].copy_cost])
+                    entry[0] += 1
+                break
+    events = plan.events
+    for key in move.fresh_keys:
+        if key in events and key not in sources:
+            return True
+    x_count = plan.x_count
+    for key, d in x_delta.items():
+        if d:
+            before = x_count.get(key, 0)
+            if before == 0:
+                bound += requests[key[0]].attend_cost
+            elif before + d == 0:
+                bound -= requests[key[0]].attend_cost
+    z_count = plan.z_count
+    for key, d in z_delta.items():
+        if d:
+            before = z_count.get(key, 0)
+            if before == 0:
+                bound += servers[key[0]].cost / plan.m
+            elif before + d == 0:
+                bound -= servers[key[0]].cost / plan.m
+    for w, (removed, copy_cost) in emptied.items():
+        if removed == sum(w.uses.values()):
+            bound -= copy_cost
+    if bound >= 0.0:
+        return True
+    # Bandwidth after the sources are freed and every target is added.
+    load: dict[tuple[int, int], float] = {}
+    client: dict[tuple[int, int], float] = {}
+    for sl, (j2, t2) in move.relocations:
+        req, o = sl
+        j, t = placements[sl]
+        amount = requests[req].demand[o]
+        load[(j, t)] = load.get((j, t), 0.0) - amount
+        load[(j2, t2)] = load.get((j2, t2), 0.0) + amount
+        client[(req, t)] = client.get((req, t), 0.0) - amount
+        client[(req, t2)] = client.get((req, t2), 0.0) + amount
+    bw_used = plan.bw_used
+    for key, d in load.items():
+        if d > 0 and bw_used.get(key, 0.0) + d > servers[key[0]].bandwidth + _SURE_EXCESS:
+            return True
+    client_used = plan.client_used
+    for key, d in client.items():
+        if d > 0 and client_used.get(key, 0.0) + d > inst.client_bandwidth + _SURE_EXCESS:
+            return True
+    return False
 
 
 def apply_move(plan: OperationalPlan, move: Move) -> AppliedMove | None:
@@ -668,6 +788,8 @@ class SearchStats:
     rvnd_passes: int = 0
     moves_tried: int = 0
     moves_accepted: int = 0
+    moves_screened: int = 0  # rejected by cannot_improve without applying
+    moves_failed: int = 0  # applied and rolled back by apply_move
     perturbations: int = 0
     restarts: int = 0
     wall_time: float = 0.0
@@ -701,8 +823,12 @@ def rvnd(
         improved = False
         for move in candidates:
             stats.moves_tried += 1
+            if cannot_improve(plan, move):
+                stats.moves_screened += 1
+                continue
             applied = apply_move(plan, move)
             if applied is None:
+                stats.moves_failed += 1
                 continue
             if applied.delta < -EPS:
                 stats.moves_accepted += 1

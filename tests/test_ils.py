@@ -4,9 +4,11 @@ import pytest
 
 from flashcrowd.exact import solve_exact
 from flashcrowd.ils import (
+    EPS,
     IlsParams,
     OperationalPlan,
     apply_move,
+    cannot_improve,
     constructive_phase,
     delay_candidates,
     inverse_move,
@@ -252,6 +254,51 @@ class TestMoves:
                     plan.total_cost(), rel=1e-9, abs=1e-9
                 )
         assert checked >= 40
+
+
+class TestScreen:
+    def all_candidates(self, plan, rng):
+        return (
+            shift_candidates(plan)
+            + swap_candidates(plan, rng, 0.05)
+            + split_candidates(plan)
+            + merge_candidates(plan)
+            + delay_candidates(plan, 1)
+            + delay_candidates(plan, 2)
+        )
+
+    def test_screened_moves_never_improve(self):
+        rng = random.Random(23)
+        screened = passed = 0
+        for _ in range(6):
+            inst = random_midsize_instance(rng)
+            plan = constructive_phase(inst, random.Random(rng.randrange(10**6)))
+            for stage in range(2):
+                if stage:
+                    # Construction serves every slice as early as it can;
+                    # pushing events later makes earlier shifts improving.
+                    perturb(plan, 2, random.Random(stage), IlsParams())
+                    for move in delay_candidates(plan, 1)[::2]:
+                        apply_move(plan, move)
+                before = plan_state(plan)
+                for move in self.all_candidates(plan, random.Random(stage)):
+                    if not cannot_improve(plan, move):
+                        passed += 1
+                        continue
+                    screened += 1
+                    applied = apply_move(plan.clone(), move)
+                    assert applied is None or applied.delta >= -EPS, move
+                assert plan_state(plan) == before
+        assert screened >= 1000 and passed >= 50
+
+    def test_rvnd_counts_every_outcome(self):
+        from flashcrowd.ils import SearchStats
+
+        inst = random_midsize_instance(random.Random(3))
+        stats = SearchStats()
+        rvnd(constructive_phase(inst, random.Random(1)), random.Random(2), IlsParams(), stats)
+        assert stats.moves_screened > 0 and stats.moves_failed > 0
+        assert stats.moves_screened + stats.moves_failed + stats.moves_accepted <= stats.moves_tried
 
 
 class TestPerturb:
