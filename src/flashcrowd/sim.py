@@ -214,6 +214,21 @@ class PeriodRow:
 
 
 @dataclass
+class ReplanRecord:
+    """One re-plan of the pipeline run: its instance, search and outcome."""
+
+    t: int
+    requests: int
+    servers: int
+    solve_ms: float  # both solves when the widened retry ran
+    plan_cost: float
+    moves_tried: int
+    moves_screened: int
+    moves_accepted: int
+    widened: bool  # the first solve was Infeasible and the widened window ran
+
+
+@dataclass
 class RunReport:
     policy: str
     provenance: str
@@ -228,6 +243,7 @@ class RunReport:
     plan_solves: int = 0
     max_detector_ms: float = 0.0
     unserved_bytes: float = 0.0
+    replans: list[ReplanRecord] = field(default_factory=list)
 
     def final_backlog(self) -> float:
         return self.rows[-1].backlog if self.rows else 0.0
@@ -545,15 +561,31 @@ def _replan(
             provisioning_delay=scenario.provisioning_delay,
             billing_granularity=scenario.billing_granularity,
         )
+    started = time.perf_counter()
+    widened = False
     try:
-        solution, _cost, _stats = ils_solve(build(window + size_pad), scenario.ils)
+        solution, cost, stats = ils_solve(build(window + size_pad), scenario.ils)
     except Infeasible:
         # Demand outgrew the window; let the plan spill further out rather
         # than aborting the replay.
-        solution, _cost, _stats = ils_solve(
+        widened = True
+        solution, cost, stats = ils_solve(
             build((window + size_pad) * 4), scenario.ils
         )
     report.plan_solves += 1
+    report.replans.append(
+        ReplanRecord(
+            t=t,
+            requests=len(requests),
+            servers=len(servers),
+            solve_ms=(time.perf_counter() - started) * 1e3,
+            plan_cost=cost.total,
+            moves_tried=stats["moves_tried"],
+            moves_screened=stats["moves_screened"],
+            moves_accepted=stats["moves_accepted"],
+            widened=widened,
+        )
+    )
 
     # Apply: spawn the new instances the plan serves from and schedule its
     # replications; idle capacity ages out at billing-slot boundaries.

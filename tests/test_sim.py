@@ -30,7 +30,8 @@ def reports(scenarios):
 
 def without_timings(report):
     rows = [dataclasses.replace(r, detector_ms=0.0) for r in report.rows]
-    return dataclasses.replace(report, rows=rows, max_detector_ms=0.0)
+    replans = [dataclasses.replace(r, solve_ms=0.0) for r in report.replans]
+    return dataclasses.replace(report, rows=rows, max_detector_ms=0.0, replans=replans)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -64,3 +65,15 @@ def test_flat_scenario_hires_nothing(scenarios, reports):
     assert all(r.hired_active == 0 and r.hired_pending == 0 for r in report.rows)
     assert report.peak_fleet == scenarios["flat"].owned_count
     assert report.final_backlog() == 0.0
+
+
+def test_one_record_per_replan(reports):
+    report = reports["scenario1", "pipeline"]
+    assert report.plan_solves > 0
+    assert len(report.replans) == report.plan_solves
+    times = [r.t for r in report.replans]
+    assert times == sorted(set(times))
+    for r in report.replans:
+        assert r.requests > 0 and r.servers > 0 and r.solve_ms > 0 and r.plan_cost > 0
+        assert r.moves_screened + r.moves_accepted <= r.moves_tried
+    assert reports["scenario1", "baseline"].replans == []
