@@ -1,8 +1,8 @@
 """Hot numeric kernels: the beta sampler and the detector's joint model.
 
-The beta sampler runs numba-compiled when numba is importable; set
-``FLASHCROWD_NO_NUMBA=1`` to run its plain-python source instead. Both
-consume the same uniforms and give the same counts.
+The beta sampler runs numba-compiled when numba (the optional ``fast``
+extra) is importable; set ``FLASHCROWD_NO_NUMBA=1`` to run its plain-python
+source instead. Both consume the same uniforms and give the same counts.
 
 The detector kernels are numpy. ``frechet_mix`` models the joint of two
 marginals f and g (cumulative F and G) as theta * P_b + (1 - theta) * f g^T,
@@ -40,7 +40,7 @@ if os.environ.get(_ENV_FLAG, "") not in ("1", "true", "yes"):
         from numba import njit
 
         NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is the optional "fast" extra
         NUMBA_ENABLED = False
 else:
     NUMBA_ENABLED = False
