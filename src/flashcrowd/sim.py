@@ -220,7 +220,7 @@ class ReplanRecord:
     t: int
     requests: int
     servers: int
-    solve_ms: float  # both solves when the widened retry ran
+    solve_ms: float  # instance builds and solves, both when the widened retry ran
     plan_cost: float
     moves_tried: int
     moves_screened: int

@@ -7,6 +7,7 @@ from flashcrowd.ils import (
     EPS,
     IlsParams,
     OperationalPlan,
+    SearchStats,
     apply_move,
     cannot_improve,
     constructive_phase,
@@ -292,8 +293,6 @@ class TestScreen:
         assert screened >= 1000 and passed >= 50
 
     def test_rvnd_counts_every_outcome(self):
-        from flashcrowd.ils import SearchStats
-
         inst = random_midsize_instance(random.Random(3))
         stats = SearchStats()
         rvnd(constructive_phase(inst, random.Random(1)), random.Random(2), IlsParams(), stats)

@@ -31,7 +31,7 @@ def search(instance_seed: int, search_seed: int) -> dict:
     return record
 
 
-@pytest.mark.parametrize("instance_seed,search_seed", CASES, ids=lambda c: str(c))
+@pytest.mark.parametrize("instance_seed,search_seed", CASES)
 def test_search_matches_golden(instance_seed, search_seed):
     golden = json.loads(PATH.read_text())
     case = golden[CASES.index((instance_seed, search_seed))]
