@@ -4,15 +4,26 @@ The pipeline run feeds each trace bin to the online detector; while an
 event is active it periodically re-plans over a rolling window with the
 local-search solver and applies the resulting hires (after the
 provisioning delay) and content replications (after the replication
-delay). Requests download their content at the client bandwidth from
-servers holding it, owned servers first; a request that has started stays
-on its server. The baseline run pushes the same byte demand through the
+delay). If neither the window nor its widened retry has a feasible plan,
+the run keeps serving from its current fleet and records the failed
+re-plan. The baseline run pushes the same byte demand through the
 threshold-autoscaling fleet.
 
-Both runs bill active instances per billing slot at their type's price
-(owned servers at the configured base price, so the two policies share the
-same base-fleet cost), and produce reports with identical per-period
-schemas for comparison.
+The pipeline's fleet is one list of servers in a fixed order: the owned
+servers (which hold every content and are always available), then the
+hired instances that have finished provisioning, oldest first. Each
+period every server offers its full bandwidth once. A request downloads
+at most the client bandwidth per period from one server; a request that
+has started stays on its server. A new request takes the first server in
+fleet order that holds its content and can serve the whole period's
+budget, otherwise the one with the largest partial room (1e-9 slack on
+both tests), so load concentrates on the owned servers and on older
+instances and excess capacity idles out.
+
+Every active server is billed once per billing slot at its price (owned
+servers at the configured base price, so the two policies share the same
+base-fleet cost, hired instances at their type's price), and both runs
+produce reports with identical per-period schemas for comparison.
 """
 
 from __future__ import annotations
@@ -221,11 +232,13 @@ class ReplanRecord:
     requests: int
     servers: int
     solve_ms: float  # instance builds and solves, both when the widened retry ran
-    plan_cost: float
-    moves_tried: int
-    moves_screened: int
-    moves_accepted: int
     widened: bool  # the first solve was Infeasible and the widened window ran
+    failed: bool = False  # the widened window was Infeasible too: no plan
+    plan_cost: float | None = None
+    moves_tried: int = 0
+    moves_screened: int = 0
+    moves_accepted: int = 0
+    hires: int = 0  # instances the plan spawned
 
 
 @dataclass
@@ -240,10 +253,16 @@ class RunReport:
     total_attended: float = 0.0
     backlog_periods: float = 0.0  # sum of end-of-period backlogs
     peak_fleet: int = 0
-    plan_solves: int = 0
-    max_detector_ms: float = 0.0
     unserved_bytes: float = 0.0
     replans: list[ReplanRecord] = field(default_factory=list)
+
+    @property
+    def plan_solves(self) -> int:
+        return sum(1 for r in self.replans if not r.failed)
+
+    @property
+    def max_detector_ms(self) -> float:
+        return max((r.detector_ms for r in self.rows), default=0.0)
 
     def final_backlog(self) -> float:
         return self.rows[-1].backlog if self.rows else 0.0
@@ -260,47 +279,75 @@ def _fingerprint(trace: BinnedTrace) -> str:
 
 
 class _SimRequest:
-    __slots__ = ("id", "content", "remaining", "arrival", "server")
+    __slots__ = ("content", "remaining", "server")
 
-    def __init__(self, rid: int, content: int, size: float, arrival: int) -> None:
-        self.id = rid
+    def __init__(self, content: int, size: float) -> None:
         self.content = content
         self.remaining = size
-        self.arrival = arrival
-        self.server: int | None = None  # locked once the download starts
+        self.server: _Server | None = None  # locked once the download starts
 
 
-class _Instance:
-    __slots__ = ("id", "type", "available_from", "contents", "last_served")
+class _Server:
+    """An owned server or a hired instance, as the replay serves and bills it."""
 
-    def __init__(self, iid: int, itype: ServerType, available_from: int) -> None:
-        self.id = iid
-        self.type = itype
+    __slots__ = ("type", "price", "available_from", "contents", "last_served", "left",
+                 "billed_slot")
+
+    def __init__(self, stype: ServerType, price: float, available_from: int,
+                 contents: set[int] | frozenset[int] | None = None) -> None:
+        self.type = stype
+        self.price = price  # per billing slot
         self.available_from = available_from
-        self.contents: set[int] = set()  # replicas present (after arrival)
+        self.contents = set() if contents is None else contents  # replicas present
         self.last_served = available_from
+        self.left = 0.0  # bandwidth left in the current period
+        self.billed_slot = 0
 
 
-def run_pipeline(scenario: ScenarioConfig) -> RunReport:
+def _start(scenario: ScenarioConfig, policy: str) -> tuple[BinnedTrace, RunReport]:
     trace = scenario.load_trace()
     if trace.horizon <= scenario.detector_w:
         raise ScenarioInvalid("trace shorter than the detector window")
-    report = RunReport("pipeline", _fingerprint(trace), scenario.seed)
+    return trace, RunReport(policy, _fingerprint(trace), scenario.seed)
+
+
+def _record(report: RunReport, row: PeriodRow, arrived: float) -> None:
+    """Append a period row and fold it into the report totals."""
+    report.rows.append(row)
+    report.total_cost = row.cost_total
+    report.total_offered += arrived
+    report.total_attended += row.attended
+    report.backlog_periods += row.backlog
+    report.peak_fleet = max(report.peak_fleet, row.owned + row.hired_active)
+
+
+def _first_fit(fleet: list[_Server], content: int, budget: float) -> _Server | None:
+    best, best_take = None, 0.0
+    for srv in fleet:
+        if content not in srv.contents:
+            continue
+        take = min(srv.left, budget)
+        if take >= budget - 1e-9:
+            best, best_take = srv, take
+            break
+        if take > best_take + 1e-9:
+            best, best_take = srv, take
+    return best if best_take > 1e-9 else None
+
+
+def run_pipeline(scenario: ScenarioConfig) -> RunReport:
+    trace, report = _start(scenario, "pipeline")
     detector = Detector(w=scenario.detector_w, flag_cfg=scenario.flag_cfg)
+    catalog = frozenset(trace.catalog)
+    # Content i of the sorted catalog originates on owned server i mod count.
+    origins = {cid: i % max(1, scenario.owned_count) for i, cid in enumerate(sorted(catalog))}
     owned_type = scenario.types[scenario.owned_type]
-    catalog = sorted(trace.catalog)
-
+    owned = [_Server(owned_type, scenario.owned_billing, 0, catalog)
+             for _ in range(scenario.owned_count)]
+    hired: list[_Server] = []  # provisioning or active, oldest first
+    incoming: set[tuple[int, _Server, int]] = set()  # (arrival, server, content)
     pending: list[_SimRequest] = []
-    instances: list[_Instance] = []
-    incoming_copies: list[tuple[int, int, int]] = []  # (arrival, instance id, content)
-    next_rid = 0
-    last_plan = -(10**9)
-    last_flagged = -(10**9)
-    billed: set[tuple[str, int, int]] = set()  # (kind, instance id, slot)
-    cum_cost = 0.0
-
-    def slot_of(t: int) -> int:
-        return max(1, math.ceil(t / scenario.billing_granularity))
+    last_plan = last_flagged = -(10**9)
 
     for t in range(1, trace.horizon + 1):
         bin_counts = trace.bins[t - 1]
@@ -311,17 +358,13 @@ def run_pipeline(scenario: ScenarioConfig) -> RunReport:
         arrived_bytes = 0.0
         for cid in sorted(bin_counts):
             for _ in range(bin_counts[cid]):
-                size = scenario.size_of(cid)
-                pending.append(_SimRequest(next_rid, cid, size, t))
-                next_rid += 1
-                arrived_bytes += size
+                pending.append(_SimRequest(cid, scenario.size_of(cid)))
+                arrived_bytes += scenario.size_of(cid)
 
-        for arrival, iid, cid in list(incoming_copies):
-            if arrival <= t:
-                for inst in instances:
-                    if inst.id == iid:
-                        inst.contents.add(cid)
-                incoming_copies.remove((arrival, iid, cid))
+        landed = {c for c in incoming if c[0] <= t}
+        for _arrival, srv, cid in landed:
+            srv.contents.add(cid)
+        incoming -= landed
 
         # The online event state mirrors the flagger's merge rule: activity
         # holds for gap_merge bins past the last flagged point, so short
@@ -331,128 +374,58 @@ def run_pipeline(scenario: ScenarioConfig) -> RunReport:
         event_active = t - last_flagged <= scenario.flag_cfg.merge_gap
         if event_active and t - last_plan >= scenario.replan_interval:
             last_plan = t
-            _replan(
-                scenario, t, pending, instances, incoming_copies, catalog,
-                report, bin_counts,
-            )
+            _replan(scenario, t, pending, owned, hired, incoming, origins, report, bin_counts)
         if t % scenario.billing_granularity == 0:
             # Scale-in at slot boundaries is idleness-driven: an instance
             # goes away once it spent a whole slot neither serving nor
             # draining a locked download nor freshly provisioned. Scale-out
             # stays plan-driven, so a noisy detector can only delay growth,
-            # never drop a busy fleet.
-            locked = {
-                r.server - scenario.owned_count
-                for r in pending
-                if r.server is not None and r.server >= scenario.owned_count
-            }
-            horizon_cut = t - scenario.billing_granularity
-            instances = [
-                i
-                for i in instances
-                if i.id in locked
-                or i.last_served > horizon_cut
-                or i.available_from > horizon_cut
-            ]
-            kept = {i.id for i in instances}
-            incoming_copies = [c for c in incoming_copies if c[1] in kept]
+            # never drop a busy fleet. Copies still bound for a released
+            # instance land on a server nothing serves from.
+            locked = {r.server for r in pending}
+            cut = t - scenario.billing_granularity
+            hired = [s for s in hired
+                     if s in locked or s.last_served > cut or s.available_from > cut]
 
-        # Serve: a request downloads from one server; owned servers (which
-        # hold every content) are preferred when it first starts.
-        owned_bw = [owned_type.bandwidth] * scenario.owned_count
-        active_instances = [i for i in instances if i.available_from <= t]
-        hired_bw = {inst.id: inst.type.bandwidth for inst in active_instances}
-        attended = 0.0
-        offered = 0.0
+        fleet = owned + [s for s in hired if s.available_from <= t]
+        for srv in fleet:
+            srv.left = srv.type.bandwidth
+        attended = offered = 0.0
         for req in pending:
             budget = min(scenario.client_bandwidth, req.remaining)
             offered += budget
-            got = 0.0
+            if req.server is None:
+                req.server = _first_fit(fleet, req.content, budget)
             if req.server is not None:
-                if req.server < scenario.owned_count:
-                    take = min(owned_bw[req.server], budget)
-                    owned_bw[req.server] -= take
-                    got = take
-                else:
-                    iid = req.server - scenario.owned_count
-                    take = min(hired_bw.get(iid, 0.0), budget)
-                    if take > 0:
-                        hired_bw[iid] -= take
-                    got = take
-            else:
-                # First fit that can serve the whole period budget (owned
-                # first, then older instances, concentrating load so excess
-                # capacity idles out); otherwise the largest partial take.
-                best_take = 0.0
-                best_server = None
-                for j in range(scenario.owned_count):
-                    take = min(owned_bw[j], budget)
-                    if take >= budget - 1e-9:
-                        best_take, best_server = take, j
-                        break
-                    if take > best_take + 1e-9:
-                        best_take, best_server = take, j
-                if best_take < budget - 1e-9:
-                    for inst in active_instances:
-                        if req.content not in inst.contents:
-                            continue
-                        take = min(hired_bw[inst.id], budget)
-                        if take >= budget - 1e-9:
-                            best_take = take
-                            best_server = scenario.owned_count + inst.id
-                            break
-                        if take > best_take + 1e-9:
-                            best_take = take
-                            best_server = scenario.owned_count + inst.id
-                if best_server is not None and best_take > 1e-9:
-                    req.server = best_server
-                    got = best_take
-                    if best_server < scenario.owned_count:
-                        owned_bw[best_server] -= got
-                    else:
-                        hired_bw[best_server - scenario.owned_count] -= got
-            req.remaining -= got
-            attended += got
-        for inst in active_instances:
-            if hired_bw[inst.id] < inst.type.bandwidth - 1e-9:
-                inst.last_served = t
+                got = min(req.server.left, budget)
+                req.server.left -= got
+                req.remaining -= got
+                attended += got
         pending = [r for r in pending if r.remaining > 1e-9]
 
-        active = active_instances
+        slot = max(1, math.ceil(t / scenario.billing_granularity))
         cost_delta = 0.0
-        s = slot_of(t)
-        for j in range(scenario.owned_count):
-            if ("owned", j, s) not in billed:
-                billed.add(("owned", j, s))
-                cost_delta += scenario.owned_billing
-        for inst in active:
-            if ("hired", inst.id, s) not in billed:
-                billed.add(("hired", inst.id, s))
-                cost_delta += inst.type.cost
-        cum_cost += cost_delta
+        for srv in fleet:
+            if srv.left < srv.type.bandwidth - 1e-9:
+                srv.last_served = t
+            if srv.billed_slot != slot:
+                srv.billed_slot = slot
+                cost_delta += srv.price
 
-        backlog = offered - attended
-        report.rows.append(
-            PeriodRow(
-                period=t,
-                offered=offered,
-                attended=attended,
-                backlog=backlog,
-                owned=scenario.owned_count,
-                hired_active=len(active),
-                hired_pending=len(instances) - len(active),
-                cost_delta=cost_delta,
-                cost_total=cum_cost,
-                detector_ms=det_ms,
-            )
-        )
-        report.total_offered += arrived_bytes
-        report.total_attended += attended
-        report.backlog_periods += backlog
-        report.peak_fleet = max(report.peak_fleet, scenario.owned_count + len(active))
-        report.max_detector_ms = max(report.max_detector_ms, det_ms)
+        active = len(fleet) - len(owned)
+        _record(report, PeriodRow(
+            period=t,
+            offered=offered,
+            attended=attended,
+            backlog=offered - attended,
+            owned=len(owned),
+            hired_active=active,
+            hired_pending=len(hired) - active,
+            cost_delta=cost_delta,
+            cost_total=report.total_cost + cost_delta,
+            detector_ms=det_ms,
+        ), arrived_bytes)
 
-    report.total_cost = cum_cost
     report.unserved_bytes = sum(r.remaining for r in pending)
     report.events = detector.series().events
     return report
@@ -462,9 +435,10 @@ def _replan(
     scenario: ScenarioConfig,
     t: int,
     pending: list[_SimRequest],
-    instances: list[_Instance],
-    incoming_copies: list[tuple[int, int, int]],
-    catalog: list[int],
+    owned: list[_Server],
+    hired: list[_Server],
+    incoming: set[tuple[int, _Server, int]],
+    origins: dict[int, int],
     report: RunReport,
     recent_counts: dict[int, int],
 ) -> None:
@@ -480,33 +454,21 @@ def _replan(
         return
     window = scenario.plan_window
     derate = 1.0 - scenario.plan_bandwidth_margin
-    owned_type = scenario.types[scenario.owned_type]
-    servers: list[Server] = []
-    for j in range(scenario.owned_count):
-        servers.append(
-            Server(j, OWNED, storage=owned_type.storage,
-                   bandwidth=owned_type.bandwidth * derate)
-        )
-    plan_to_instance: dict[int, _Instance | ServerType] = {}
-    sid = scenario.owned_count
-    for inst in instances:
-        servers.append(
-            Server(sid, HIRABLE, storage=inst.type.storage,
-                   bandwidth=inst.type.bandwidth * derate, cost=inst.type.cost)
-        )
-        plan_to_instance[sid] = inst
-        sid += 1
-    for tname in sorted(scenario.types):
-        itype = scenario.types[tname]
-        if itype.cost <= 0:
-            continue
-        for _ in range(scenario.max_new_instances):
-            servers.append(
-                Server(sid, HIRABLE, storage=itype.storage,
-                       bandwidth=itype.bandwidth * derate, cost=itype.cost)
-            )
-            plan_to_instance[sid] = itype
-            sid += 1
+    # Plan server j is the owned and hired servers in fleet order, then
+    # max_new_instances candidates of each priced type.
+    known = owned + hired
+    kinds = [s.type for s in known] + [
+        scenario.types[name]
+        for name in sorted(scenario.types)
+        if scenario.types[name].cost > 0
+        for _ in range(scenario.max_new_instances)
+    ]
+    servers = [
+        Server(j, OWNED, storage=k.storage, bandwidth=k.bandwidth * derate)
+        if j < len(owned)
+        else Server(j, HIRABLE, storage=k.storage, bandwidth=k.bandwidth * derate, cost=k.cost)
+        for j, k in enumerate(kinds)
+    ]
 
     used = {r.content for r in fresh} | {
         cid for cid, cnt in recent_counts.items() if cnt > 0
@@ -516,9 +478,7 @@ def _replan(
             cid,
             size=scenario.size_of(cid),
             start=1,
-            origin=catalog.index(cid) % scenario.owned_count
-            if scenario.owned_count
-            else 0,
+            origin=origins[cid],
             copy_cost=scenario.copy_cost,
         )
         for cid in sorted(used)
@@ -550,72 +510,63 @@ def _replan(
         (len(spread_demand(c.size, 1, scenario.client_bandwidth)) for c in contents),
         default=1,
     )
-    def build(horizon):
-        return PlanningInstance(
-            servers=servers,
-            contents=contents,
-            requests=requests,
-            horizon=horizon,
-            client_bandwidth=scenario.client_bandwidth,
-            replication_delay=scenario.replication_delay,
-            provisioning_delay=scenario.provisioning_delay,
-            billing_granularity=scenario.billing_granularity,
-        )
     started = time.perf_counter()
-    widened = False
-    try:
-        solution, cost, stats = ils_solve(build(window + size_pad), scenario.ils)
-    except Infeasible:
-        # Demand outgrew the window; let the plan spill further out rather
-        # than aborting the replay.
-        widened = True
-        solution, cost, stats = ils_solve(
-            build((window + size_pad) * 4), scenario.ils
-        )
-    report.plan_solves += 1
-    report.replans.append(
-        ReplanRecord(
-            t=t,
-            requests=len(requests),
-            servers=len(servers),
-            solve_ms=(time.perf_counter() - started) * 1e3,
-            plan_cost=cost.total,
-            moves_tried=stats["moves_tried"],
-            moves_screened=stats["moves_screened"],
-            moves_accepted=stats["moves_accepted"],
-            widened=widened,
-        )
+    outcome, widened = None, False
+    for horizon in (window + size_pad, (window + size_pad) * 4):
+        try:
+            outcome = ils_solve(
+                PlanningInstance(
+                    servers=servers,
+                    contents=contents,
+                    requests=requests,
+                    horizon=horizon,
+                    client_bandwidth=scenario.client_bandwidth,
+                    replication_delay=scenario.replication_delay,
+                    provisioning_delay=scenario.provisioning_delay,
+                    billing_granularity=scenario.billing_granularity,
+                ),
+                scenario.ils,
+            )
+            break
+        except Infeasible:
+            # Demand outgrew the window; let the plan spill further out. If
+            # that fails too, the run keeps serving from its current fleet.
+            widened = True
+    record = ReplanRecord(
+        t=t,
+        requests=len(requests),
+        servers=len(servers),
+        solve_ms=(time.perf_counter() - started) * 1e3,
+        widened=widened,
+        failed=outcome is None,
     )
+    report.replans.append(record)
+    if outcome is None:
+        return
+    solution, cost, stats = outcome
+    record.plan_cost = cost.total
+    record.moves_tried = stats["moves_tried"]
+    record.moves_screened = stats["moves_screened"]
+    record.moves_accepted = stats["moves_accepted"]
 
     # Apply: spawn the new instances the plan serves from and schedule its
     # replications; idle capacity ages out at billing-slot boundaries.
     used_plan_sids = {tup.server for tup in solution.tuples if tup.served}
-    next_iid = max([i.id for i in instances], default=-1) + 1
-    planned_new: dict[int, _Instance] = {}
+    spawned: dict[int, _Server] = {}
     for (k, j, _p) in sorted(solution.replicas):
-        if j < scenario.owned_count or j not in used_plan_sids:
+        if j < len(owned) or j not in used_plan_sids:
             continue
-        target = plan_to_instance[j]
-        if isinstance(target, ServerType):
-            inst = planned_new.get(j)
-            if inst is None:
-                inst = _Instance(next_iid, target, t + scenario.provisioning_delay)
-                next_iid += 1
-                planned_new[j] = inst
-                instances.append(inst)
-        else:
-            inst = target
-        if k not in inst.contents:
-            arrival = max(t + scenario.replication_delay, inst.available_from)
-            if (arrival, inst.id, k) not in incoming_copies:
-                incoming_copies.append((arrival, inst.id, k))
+        srv = known[j] if j < len(known) else spawned.get(j)
+        if srv is None:
+            srv = spawned[j] = _Server(kinds[j], kinds[j].cost, t + scenario.provisioning_delay)
+            hired.append(srv)
+        if k not in srv.contents:
+            incoming.add((max(t + scenario.replication_delay, srv.available_from), srv, k))
+    record.hires = len(spawned)
 
 
 def run_baseline(scenario: ScenarioConfig) -> RunReport:
-    trace = scenario.load_trace()
-    if trace.horizon <= scenario.detector_w:
-        raise ScenarioInvalid("trace shorter than the detector window")
-    report = RunReport("baseline", _fingerprint(trace), scenario.seed)
+    trace, report = _start(scenario, "baseline")
     vm = scenario.types[scenario.autoscaling_vm]
     cfg = AsPolicyConfig(
         vm_type=Server(0, HIRABLE, storage=vm.storage, bandwidth=vm.bandwidth, cost=vm.cost),
@@ -648,27 +599,19 @@ def run_baseline(scenario: ScenarioConfig) -> RunReport:
                 else:
                     late += count * amount
     for t in range(1, trace.horizon + 1):
-        demand = due[t]
-        res = baseline_step(fleet, demand)
-        report.rows.append(
-            PeriodRow(
-                period=t,
-                offered=demand,
-                attended=res.attended,
-                backlog=res.backlogged,
-                owned=0,
-                hired_active=res.active,
-                hired_pending=res.pending,
-                cost_delta=res.cost_delta,
-                cost_total=fleet.cumulative_cost,
-                detector_ms=0.0,
-            )
-        )
-        report.total_offered += arrivals[t]
-        report.total_attended += res.attended
-        report.backlog_periods += res.backlogged
-        report.peak_fleet = max(report.peak_fleet, res.active)
-    report.total_cost = fleet.cumulative_cost
+        res = baseline_step(fleet, due[t])
+        _record(report, PeriodRow(
+            period=t,
+            offered=due[t],
+            attended=res.attended,
+            backlog=res.backlogged,
+            owned=0,
+            hired_active=res.active,
+            hired_pending=res.pending,
+            cost_delta=res.cost_delta,
+            cost_total=fleet.cumulative_cost,
+            detector_ms=0.0,
+        ), arrivals[t])
     report.unserved_bytes = fleet.backlog + late
     return report
 

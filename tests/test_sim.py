@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+from flashcrowd import sim
+from flashcrowd.model import Infeasible
 from flashcrowd.sim import ProvenanceMismatch, compare, read_scenario, run_baseline, run_pipeline
 from util_scenarios import flat_scenario_ini, scenario1_ini
 
@@ -31,7 +33,7 @@ def reports(scenarios):
 def without_timings(report):
     rows = [dataclasses.replace(r, detector_ms=0.0) for r in report.rows]
     replans = [dataclasses.replace(r, solve_ms=0.0) for r in report.replans]
-    return dataclasses.replace(report, rows=rows, max_detector_ms=0.0, replans=replans)
+    return dataclasses.replace(report, rows=rows, replans=replans)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -76,4 +78,24 @@ def test_one_record_per_replan(reports):
     for r in report.replans:
         assert r.requests > 0 and r.servers > 0 and r.solve_ms > 0 and r.plan_cost > 0
         assert r.moves_screened + r.moves_accepted <= r.moves_tried
+    # Every hired instance, active or provisioning, was spawned by a replan.
+    assert sum(r.hires for r in report.replans) >= max(
+        r.hired_active + r.hired_pending for r in report.rows
+    )
     assert reports["scenario1", "baseline"].replans == []
+
+
+def test_infeasible_replans_keep_the_current_fleet(monkeypatch, scenarios):
+    def infeasible(inst, params):
+        raise Infeasible("no plan")
+
+    monkeypatch.setattr(sim, "ils_solve", infeasible)
+    report = run_pipeline(scenarios["scenario1"])
+    assert report.replans
+    assert all(r.failed and r.widened and r.plan_cost is None for r in report.replans)
+    assert all(r.moves_tried == 0 and r.hires == 0 for r in report.replans)
+    assert report.plan_solves == 0
+    assert all(r.hired_active == 0 and r.hired_pending == 0 for r in report.rows)
+    assert report.total_offered == pytest.approx(
+        report.total_attended + report.unserved_bytes, rel=1e-12
+    )
