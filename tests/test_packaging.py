@@ -1,3 +1,4 @@
+import importlib
 import pathlib
 import re
 
@@ -23,3 +24,16 @@ def test_numba_is_an_optional_extra():
 
     assert "numba" not in names(project["dependencies"])
     assert "numba" in names(project["optional-dependencies"]["fast"])
+
+
+def test_declared_scripts_resolve():
+    # An entry point whose module or function is missing installs a script
+    # that fails on every call.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    for name, target in {**project.get("scripts", {}), **project.get("gui-scripts", {})}.items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), name
