@@ -357,9 +357,10 @@ def run_pipeline(scenario: ScenarioConfig) -> RunReport:
 
         arrived_bytes = 0.0
         for cid in sorted(bin_counts):
+            size = scenario.size_of(cid)
             for _ in range(bin_counts[cid]):
-                pending.append(_SimRequest(cid, scenario.size_of(cid)))
-                arrived_bytes += scenario.size_of(cid)
+                pending.append(_SimRequest(cid, size))
+                arrived_bytes += size
 
         landed = {c for c in incoming if c[0] <= t}
         for _arrival, srv, cid in landed:
