@@ -1,8 +1,12 @@
-"""LP-format export of planning instances, plus a parser and MILP bridge.
+"""LP-format export of planning instances, a parser, a MILP bridge and
+the exact solver.
 
 The exporter writes standard LP text (CPLEX dialect) so any mainstream
 MILP solver can check or solve an instance; the parser reads that subset
 back, and ``solve_lp_text`` feeds it to scipy's HiGHS-backed MILP solver.
+``solve_exact`` is the repository's optimum: it exports, solves, and
+decodes the variable values into a ``Solution`` with
+``assignment_to_solution``, the inverse of ``solution_to_assignment``.
 
 Emission rules (the documented contract for counting variables and
 constraints):
@@ -46,7 +50,20 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 
-from .model import HIRABLE, PlanningInstance, TooLarge
+from .model import (
+    AttendanceTuple,
+    CostBreakdown,
+    Infeasible,
+    PlanningInstance,
+    Replication,
+    Solution,
+    TooLarge,
+    evaluate,
+)
+
+# export_lp raises TooLarge when |R||S||T|^2, about twice the number of
+# slice variables s, exceeds this.
+MAX_VARIABLES = 200_000
 
 
 def _fmt(value: float) -> str:
@@ -71,18 +88,16 @@ class _Rows:
         self.lines.append(f" {name}: {text} {op} {_fmt(rhs)}")
 
 
-def export_lp(
-    instance: PlanningInstance, mode: str = "literal", max_variables: int = 200_000
-) -> str:
+def export_lp(instance: PlanningInstance, mode: str = "literal") -> str:
     """Serialize the instance as LP text in the selected constraint mode."""
     if mode not in ("literal", "corrected"):
         raise ValueError(f"unknown mode {mode!r}")
     inst = instance
     tf = inst.horizon
     nr, ns = len(inst.requests), len(inst.servers)
-    if nr * ns * tf * tf > max_variables:
+    if nr * ns * tf * tf > MAX_VARIABLES:
         raise TooLarge(
-            f"|R||S||T|^2 = {nr * ns * tf * tf} exceeds cap {max_variables}"
+            f"|R||S||T|^2 = {nr * ns * tf * tf} exceeds cap {MAX_VARIABLES}"
         )
     tr = inst.replication_delay
     m = inst.big_m
@@ -408,7 +423,11 @@ def parse_lp(text: str) -> ParsedLP:
 
 
 def solve_lp_text(text: str, time_limit: float | None = None) -> tuple[float, dict[str, float]]:
-    """Solve exported LP text with scipy's MILP (HiGHS); returns (obj, values)."""
+    """Solve exported LP text with scipy's MILP (HiGHS); returns (obj, values).
+
+    Raises Infeasible when HiGHS proves the model infeasible, and
+    RuntimeError on any other failure, such as the time limit.
+    """
     lp = parse_lp(text)
     idx = {v: i for i, v in enumerate(lp.variables)}
     n = len(lp.variables)
@@ -451,6 +470,8 @@ def solve_lp_text(text: str, time_limit: float | None = None) -> tuple[float, di
         bounds=bounds,
         options=options,
     )
+    if res.status == 2:
+        raise Infeasible(f"MILP infeasible: {res.message}")
     if not res.success:
         raise RuntimeError(f"MILP solve failed: {res.message}")
     values = {v: float(res.x[idx[v]]) for v in lp.variables}
@@ -473,3 +494,61 @@ def solution_to_assignment(instance: PlanningInstance, solution) -> dict[str, fl
     for (j, a) in solution.hires:
         values[f"z_j{j}_a{a}"] = 1.0
     return values
+
+
+def assignment_to_solution(instance: PlanningInstance, values: dict[str, float]) -> Solution:
+    """Decode LP variable values into a Solution; inverse of solution_to_assignment.
+
+    Each set slice variable s_i_o_j_t serves request i's demand that arrived
+    at o from (content, j, t); set y, w and z variables give the replica
+    cells, replications and hires; each b above 1e-9 is a backlog entry.
+    Binaries count as set at 0.5 and above, since HiGHS returns them within
+    its integrality tolerance. x is implied by the slices and not read.
+    """
+    served: dict[tuple[int, int, int], dict[int, float]] = {}
+    replicas, copies, hires = set(), [], set()
+    backlog: dict[tuple[int, int], float] = {}
+    for name, value in values.items():
+        kind, *fields = name.split("_")
+        idx = tuple(int(f[1:]) for f in fields)
+        if kind == "b":
+            if value > 1e-9:
+                backlog[idx] = value
+        elif value < 0.5:
+            continue
+        elif kind == "s":
+            i, o, j, t = idx
+            request = instance.request_by_id[i]
+            amount = request.demand_at(o)
+            if amount > 0:
+                cell = served.setdefault((request.content, j, t), {})
+                cell[i] = cell.get(i, 0.0) + amount
+        elif kind == "y":
+            replicas.add(idx)
+        elif kind == "w":
+            copies.append(idx)
+        elif kind == "z":
+            hires.add(idx)
+    return Solution(
+        tuples=[
+            AttendanceTuple(k, j, t, dict(sorted(req_map.items())))
+            for (k, j, t), req_map in sorted(served.items())
+        ],
+        replications=[Replication(*c) for c in sorted(copies)],
+        hires=hires,
+        backlog=backlog,
+        replicas=replicas,
+    )
+
+
+def solve_exact(
+    instance: PlanningInstance, mode: str = "literal"
+) -> tuple[Solution, CostBreakdown]:
+    """Optimal solution in the selected constraint mode, solved by HiGHS.
+
+    Raises TooLarge above the export cap, Infeasible when no solution
+    exists, and RuntimeError on any other solver failure.
+    """
+    _objective, values = solve_lp_text(export_lp(instance, mode))
+    solution = assignment_to_solution(instance, values)
+    return solution, evaluate(instance, solution)

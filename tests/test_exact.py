@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from flashcrowd.exact import solve_exact
+from flashcrowd.lpio import solve_exact
 from flashcrowd.model import (
     Content,
     HIRABLE,
@@ -16,7 +16,7 @@ from flashcrowd.model import (
     evaluate,
 )
 
-from util_instances import random_tiny_instance, tiny_instance_o1
+from util_instances import oversized_instance, random_tiny_instance, tiny_instance_o1
 
 
 def retention_instance():
@@ -102,7 +102,7 @@ def test_infeasible_reported():
 
 def test_too_large_guard():
     with pytest.raises(TooLarge):
-        solve_exact(tiny_instance_o1(), mode="literal", max_space=10)
+        solve_exact(oversized_instance(), mode="literal")
 
 
 def test_oracle_is_minimal_over_random_feasible_solutions():

@@ -1,12 +1,14 @@
 """Pinned optima of seeded tiny planning instances.
 
 ``data/exact_golden.json`` holds, for each case and both constraint modes,
-the optimal objective of ``solve_exact``, or null when no solution exists.
-A case (seed, draw) is the instance that ``random_tiny_instance`` returns
-on its draw-th call (from 0) on ``random.Random(seed)``: seeds 0-39 at
-draw 0, and draws 1-4 of seed 23, the random stream the exact solvers were
-first compared on. Rewrite the file only for a change meant to move an
-optimum, with
+the optimal objective, or null when no solution exists. The file was
+written by an exhaustive enumerator, an exact solver independent of the
+MILP, and stands in for it as the reference ``solve_exact`` is checked
+against. A case (seed, draw) is the instance that ``random_tiny_instance``
+returns on its draw-th call (from 0) on ``random.Random(seed)``: seeds
+0-39 at draw 0, and draws 1-4 of seed 23, the random stream the two exact
+solvers were first compared on. Rewrite the file only for a change meant
+to move an optimum, with
 
     PYTHONPATH=src python tests/test_exact_golden.py
 """
@@ -17,8 +19,8 @@ import random
 
 import pytest
 
-from flashcrowd.exact import solve_exact
-from flashcrowd.model import Infeasible, check_feasibility
+from flashcrowd.lpio import assignment_to_solution, export_lp, solve_exact, solve_lp_text
+from flashcrowd.model import Infeasible, check_feasibility, evaluate
 from util_instances import random_tiny_instance
 
 PATH = pathlib.Path(__file__).parent / "data" / "exact_golden.json"
@@ -54,9 +56,11 @@ def test_optimum_matches_golden(golden, seed, draw, mode):
         with pytest.raises(Infeasible):
             solve_exact(inst, mode)
         return
-    sol, cost = solve_exact(inst, mode)
+    objective, values = solve_lp_text(export_lp(inst, mode))
+    sol = assignment_to_solution(inst, values)
     assert check_feasibility(inst, sol, mode) == []
-    assert abs(cost.total - want) <= 1e-9
+    assert abs(evaluate(inst, sol).total - objective) <= 1e-9
+    assert abs(objective - want) <= 1e-9
 
 
 if __name__ == "__main__":

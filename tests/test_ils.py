@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from flashcrowd.exact import solve_exact
+from flashcrowd.lpio import solve_exact
 from flashcrowd.ils import (
     EPS,
     IlsParams,

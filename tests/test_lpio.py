@@ -1,10 +1,8 @@
-import random
 import re
 
 import pytest
 
-from flashcrowd.exact import solve_exact
-from flashcrowd.lpio import export_lp, parse_lp, solution_to_assignment, solve_lp_text
+from flashcrowd.lpio import export_lp, parse_lp, solution_to_assignment, solve_exact, solve_lp_text
 from flashcrowd.model import (
     Content,
     HIRABLE,
@@ -14,10 +12,9 @@ from flashcrowd.model import (
     Request,
     Server,
     TooLarge,
-    evaluate,
 )
 
-from util_instances import random_tiny_instance, tiny_instance_o1
+from util_instances import oversized_instance, tiny_instance_o1
 
 
 def micro_instance():
@@ -87,7 +84,7 @@ class TestExportCounts:
 
     def test_size_cap(self):
         with pytest.raises(TooLarge):
-            export_lp(tiny_instance_o1(), max_variables=10)
+            export_lp(oversized_instance())
 
 
 class TestRoundTrip:
@@ -112,29 +109,29 @@ class TestRoundTrip:
 
 
 class TestExternalSolver:
-    def test_micro_instance_optimum_matches_oracle(self):
-        inst = micro_instance()
-        for mode in ("literal", "corrected"):
-            _sol, cost = solve_exact(inst, mode=mode)
-            obj, _values = solve_lp_text(export_lp(inst, mode=mode))
-            assert obj == pytest.approx(cost.total, abs=1e-6)
+    # Micro, by hand: serving 6 at t=1 and 4 at t=2 from the origin costs
+    # two attendances and no backlog. The replica on the origin at t=2 needs
+    # one self-copy in literal mode (cost 1) and persists for free in
+    # corrected mode. Any other plan adds a copy, a hire or backlog.
+    # O1 is derived in test_exact.py.
+    @pytest.mark.parametrize(
+        "make,mode,optimum",
+        [
+            (micro_instance, "literal", 3.0),
+            (micro_instance, "corrected", 2.0),
+            (tiny_instance_o1, "literal", 70 + 4 / 60),
+            (tiny_instance_o1, "corrected", 66 + 4 / 60),
+        ],
+    )
+    def test_objective_matches_hand_optimum(self, make, mode, optimum):
+        obj, _values = solve_lp_text(export_lp(make(), mode=mode))
+        assert obj == pytest.approx(optimum, abs=1e-9)
 
-    def test_o1_optimum_matches_oracle(self):
-        inst = tiny_instance_o1()
-        for mode in ("literal", "corrected"):
-            _sol, cost = solve_exact(inst, mode=mode)
-            obj, _values = solve_lp_text(export_lp(inst, mode=mode))
-            assert obj == pytest.approx(cost.total, abs=1e-6)
-
-    def test_random_instances_match(self):
-        rng = random.Random(23)
-        solved = 0
-        while solved < 5:
-            inst = random_tiny_instance(rng)
-            try:
-                _sol, cost = solve_exact(inst, mode="corrected")
-            except Infeasible:
-                continue
-            solved += 1
-            obj, _values = solve_lp_text(export_lp(inst, mode="corrected"))
-            assert obj == pytest.approx(cost.total, abs=1e-6)
+    def test_infeasible_model_raises_infeasible(self):
+        # Each 6-byte slice is served whole, above the 4-byte server bandwidth.
+        servers = [Server(0, OWNED, storage=100, bandwidth=4, cost=0.0)]
+        contents = [Content(0, size=12, start=1, origin=0, copy_cost=1.0)]
+        requests = [Request(0, 0, 1.0, {1: 6.0, 2: 6.0}, 1.0)]
+        inst = PlanningInstance(servers, contents, requests, horizon=3, client_bandwidth=6)
+        with pytest.raises(Infeasible):
+            solve_lp_text(export_lp(inst, mode="corrected"))

@@ -30,8 +30,20 @@ def tiny_instance_o1() -> PlanningInstance:
     )
 
 
+def oversized_instance() -> PlanningInstance:
+    """One request on two servers over 317 periods: |R||S||T|^2 = 200,978,
+    just above the LP export cap."""
+    servers = [
+        Server(0, OWNED, storage=10, bandwidth=10),
+        Server(1, HIRABLE, storage=10, bandwidth=10, cost=1.0),
+    ]
+    contents = [Content(0, size=10, start=1, origin=0, copy_cost=1.0)]
+    requests = [Request(0, 0, attend_cost=1.0, demand={1: 10.0}, penalty=1.0)]
+    return PlanningInstance(servers, contents, requests, horizon=317, client_bandwidth=10)
+
+
 def random_tiny_instance(rng: random.Random) -> PlanningInstance:
-    """Oracle-scale instance: <= 2 servers, 2 contents, 3 requests, 3 periods.
+    """Tiny instance: <= 2 servers, 2 contents, 3 requests, 3 periods.
 
     Storage is kept generous so replica deletion is never profitable, and
     every cost coefficient is >= 1 so the financial term stays a tiebreaker.
