@@ -94,7 +94,7 @@ class FlagConfig:
     """Event-flagging knobs (the detection math itself has none).
 
     Onset: C above mu + k*sigma of the running baseline for m consecutive
-    points; end: C back below the threshold frozen at onset for m
+    points; end: C at or below the threshold frozen at onset for m
     consecutive points; events closer than gap_merge bins are merged; the
     baseline needs warmup points before flagging starts.
     """
@@ -268,7 +268,7 @@ class _Flagger:
     def observe(self, t: int, c: float) -> None:
         threshold = self.mu + self.cfg.k * self.var**0.5
         if self.in_event:
-            if c < self.frozen_threshold:
+            if c <= self.frozen_threshold:
                 if self.streak == 0:
                     self.streak_start = t
                 self.streak += 1

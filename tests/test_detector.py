@@ -294,6 +294,15 @@ class TestDetect:
         assert [p.c_xy for p in series.points] == [0.0] * 6
         assert series.events == []
 
+    def test_event_after_zero_warmup_ends_before_last_bin(self):
+        # C is 0 through the warm-up, so the threshold frozen at onset is 0.
+        # C is never negative: the event must end when C returns to 0.
+        quiet, hot = {0: 1, 1: 1, 2: 1}, {0: 1, 1: 2, 2: 3}
+        bins = [quiet] * 6 + [hot, {0: 2, 1: 3, 2: 5}, hot] + [quiet] * 4
+        series = detect(BinnedTrace(1.0, bins, set()), w=1, flag_cfg=FlagConfig(m=2, warmup=5))
+        assert [p.c_xy for p in series.points[:6]] == [0.0] * 6
+        assert series.events == [(7, 9)]
+
     def test_online_matches_batch(self):
         trace = generate(flash_config(2, horizon=600, up=(200, 260), down=(420, 480)))
         det = Detector(w=1, flag_cfg=FlagConfig(warmup=80))
