@@ -642,14 +642,18 @@ class Comparison:
 
 
 def compare(a: RunReport, b: RunReport) -> Comparison:
-    """Side-by-side totals of two runs over the same trace."""
+    """Side-by-side totals of two runs over the same trace.
+
+    The event rows compare each run's first event; a run with no event,
+    such as the baseline, which has no detector, reports NaN there.
+    """
     if (a.provenance, a.seed) != (b.provenance, b.seed):
         raise ProvenanceMismatch(
             f"reports built from different traces/seeds: "
             f"{(a.provenance, a.seed)} vs {(b.provenance, b.seed)}"
         )
-    ev_a = a.events[0] if a.events else (0, 0)
-    ev_b = b.events[0] if b.events else (0, 0)
+    ev_a = a.events[0] if a.events else (math.nan, math.nan)
+    ev_b = b.events[0] if b.events else (math.nan, math.nan)
     rows = [
         ("total_cost", a.total_cost, b.total_cost, a.total_cost - b.total_cost),
         ("peak_fleet", a.peak_fleet, b.peak_fleet, a.peak_fleet - b.peak_fleet),

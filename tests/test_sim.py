@@ -1,6 +1,7 @@
 """Replay reports of the pipeline and baseline policies."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -60,6 +61,12 @@ def test_compare_rejects_mismatched_runs(tmp_path, reports):
         compare(reports["scenario1", "pipeline"], reports["flat", "pipeline"])
     same = compare(reports["scenario1", "pipeline"], reports["scenario1", "baseline"])
     assert same.value("total_cost")[0] == reports["scenario1", "pipeline"].total_cost
+    # The baseline has no detector: its missing event is NaN, not (0, 0).
+    assert reports["scenario1", "baseline"].events == []
+    start, end = reports["scenario1", "pipeline"].events[0]
+    for metric, first in (("event_start", start), ("event_end", end)):
+        a, b, delta = same.value(metric)
+        assert a == first and math.isnan(b) and math.isnan(delta)
 
 
 def test_flat_scenario_hires_nothing(scenarios, reports):
