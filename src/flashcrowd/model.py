@@ -239,10 +239,6 @@ class Solution:
         return self.backlog.get((request, t), 0.0)
 
 
-def empty_solution() -> Solution:
-    return Solution()
-
-
 @dataclass(frozen=True)
 class CostBreakdown:
     attend: float

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class MalformedLine(ValueError):
@@ -311,11 +311,3 @@ def read_csv_trace(path: str, bin_width: float = 1.0) -> BinnedTrace:
         if count > 0:
             bins[t][cid] = bins[t].get(cid, 0) + count
     return BinnedTrace(bin_width=bin_width, bins=bins, catalog=catalog)
-
-
-def iter_nonzero(trace: BinnedTrace) -> Iterator[tuple[int, int, int]]:
-    """Yield (t, content_id, count) for every positive count, sorted."""
-    for t, b in enumerate(trace.bins):
-        for cid in sorted(b):
-            if b[cid] > 0:
-                yield t, cid, b[cid]
