@@ -109,23 +109,22 @@ class TestRoundTrip:
 
 
 class TestExternalSolver:
-    # Micro, by hand: serving 6 at t=1 and 4 at t=2 from the origin costs
-    # two attendances and no backlog. The replica on the origin at t=2 needs
-    # one self-copy in literal mode (cost 1) and persists for free in
-    # corrected mode. Any other plan adds a copy, a hire or backlog.
-    # O1 is derived in test_exact.py.
-    @pytest.mark.parametrize(
-        "make,mode,optimum",
-        [
-            (micro_instance, "literal", 3.0),
-            (micro_instance, "corrected", 2.0),
-            (tiny_instance_o1, "literal", 70 + 4 / 60),
-            (tiny_instance_o1, "corrected", 66 + 4 / 60),
-        ],
-    )
-    def test_objective_matches_hand_optimum(self, make, mode, optimum):
-        obj, _values = solve_lp_text(export_lp(make(), mode=mode))
-        assert obj == pytest.approx(optimum, abs=1e-9)
+    """HiGHS objectives against optima derived by hand."""
+
+    def test_micro_instance_optimum_matches_oracle(self):
+        # Serving 6 at t=1 and 4 at t=2 from the origin costs two
+        # attendances and no backlog. The replica on the origin at t=2
+        # needs one self-copy in literal mode (cost 1) and persists for free
+        # in corrected mode. Any other plan adds a copy, a hire or backlog.
+        for mode, optimum in (("literal", 3.0), ("corrected", 2.0)):
+            obj, _values = solve_lp_text(export_lp(micro_instance(), mode=mode))
+            assert obj == pytest.approx(optimum, abs=1e-9)
+
+    def test_o1_optimum_matches_oracle(self):
+        # The optima of test_exact.TestOracleO1.
+        for mode, optimum in (("literal", 70 + 4 / 60), ("corrected", 66 + 4 / 60)):
+            obj, _values = solve_lp_text(export_lp(tiny_instance_o1(), mode=mode))
+            assert obj == pytest.approx(optimum, abs=1e-9)
 
     def test_infeasible_model_raises_infeasible(self):
         # Each 6-byte slice is served whole, above the 4-byte server bandwidth.
