@@ -4,9 +4,9 @@ the exact solver.
 The exporter writes standard LP text (CPLEX dialect) so any mainstream
 MILP solver can check or solve an instance; the parser reads that subset
 back, and ``solve_lp_text`` feeds it to scipy's HiGHS-backed MILP solver.
-``solve_exact`` is the repository's optimum: it exports, solves, and
-decodes the variable values into a ``Solution`` with
-``assignment_to_solution``, the inverse of ``solution_to_assignment``.
+``solve_exact`` returns the optimum as a ``Solution``: it exports, solves,
+and decodes the variable values with ``assignment_to_solution``, the
+inverse of ``solution_to_assignment``.
 
 Emission rules (the documented contract for counting variables and
 constraints):

@@ -16,7 +16,12 @@ from flashcrowd.model import (
     evaluate,
 )
 
-from util_instances import oversized_instance, random_tiny_instance, tiny_instance_o1
+from util_instances import (
+    infeasible_instance,
+    oversized_instance,
+    random_tiny_instance,
+    tiny_instance_o1,
+)
 
 
 def retention_instance():
@@ -91,13 +96,8 @@ def test_owned_coverage_hires_nothing():
 
 
 def test_infeasible_reported():
-    # Demand cannot complete: one server, one period of bandwidth too small.
-    servers = [Server(0, OWNED, storage=100, bandwidth=4, cost=0.0)]
-    contents = [Content(0, size=12, start=1, origin=0, copy_cost=1.0)]
-    requests = [Request(0, 0, 1.0, {1: 6.0, 2: 6.0}, 1.0)]
-    inst = PlanningInstance(servers, contents, requests, horizon=3, client_bandwidth=6)
     with pytest.raises(Infeasible):
-        solve_exact(inst, mode="corrected")
+        solve_exact(infeasible_instance(), mode="corrected")
 
 
 def test_too_large_guard():

@@ -14,7 +14,7 @@ from flashcrowd.model import (
     TooLarge,
 )
 
-from util_instances import oversized_instance, tiny_instance_o1
+from util_instances import infeasible_instance, oversized_instance, tiny_instance_o1
 
 
 def micro_instance():
@@ -127,10 +127,5 @@ class TestExternalSolver:
             assert obj == pytest.approx(optimum, abs=1e-9)
 
     def test_infeasible_model_raises_infeasible(self):
-        # Each 6-byte slice is served whole, above the 4-byte server bandwidth.
-        servers = [Server(0, OWNED, storage=100, bandwidth=4, cost=0.0)]
-        contents = [Content(0, size=12, start=1, origin=0, copy_cost=1.0)]
-        requests = [Request(0, 0, 1.0, {1: 6.0, 2: 6.0}, 1.0)]
-        inst = PlanningInstance(servers, contents, requests, horizon=3, client_bandwidth=6)
         with pytest.raises(Infeasible):
-            solve_lp_text(export_lp(inst, mode="corrected"))
+            solve_lp_text(export_lp(infeasible_instance(), mode="corrected"))

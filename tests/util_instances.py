@@ -42,6 +42,15 @@ def oversized_instance() -> PlanningInstance:
     return PlanningInstance(servers, contents, requests, horizon=317, client_bandwidth=10)
 
 
+def infeasible_instance() -> PlanningInstance:
+    """Each 6-byte demand slice is served whole, and the only server sends
+    4 bytes per period, so no solution exists."""
+    servers = [Server(0, OWNED, storage=100, bandwidth=4, cost=0.0)]
+    contents = [Content(0, size=12, start=1, origin=0, copy_cost=1.0)]
+    requests = [Request(0, 0, 1.0, {1: 6.0, 2: 6.0}, 1.0)]
+    return PlanningInstance(servers, contents, requests, horizon=3, client_bandwidth=6)
+
+
 def random_tiny_instance(rng: random.Random) -> PlanningInstance:
     """Tiny instance: <= 2 servers, 2 contents, 3 requests, 3 periods.
 
