@@ -1,5 +1,6 @@
 """Staircase joint against the dense reference, and sampler correctness."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -160,6 +161,27 @@ def test_beta_sampler_matches_reference_distribution(a, b):
         values.append(v)
     stat = scipy.stats.kstest(values, scipy.stats.beta(a, b).cdf)
     assert stat.pvalue > 1e-3, f"KS p={stat.pvalue} for Beta({a},{b})"
+
+
+# Ten mixed-shape pairs, then the seven shapes of the KS test above.
+SAMPLER_PAIRS = [
+    (0.5, 0.5), (0.5, 8.0), (2.0, 5.0), (2.0, 0.7), (8.0, 2.0),
+    (0.3, 0.3), (3.0, 3.0), (1.0, 1.0), (1.0, 9.0), (5.0, 1.0),
+    (0.5, 0.5), (1.0, 1.0), (0.4, 0.9), (2.0, 5.0), (8.0, 2.0), (0.5, 4.0), (6.0, 0.7),
+]
+
+
+def test_beta_counts_digest():
+    # Pins every count and the stream position after each batch, so a
+    # sampler rewrite must read the same uniforms in the same order.
+    h = hashlib.sha256()
+    for i, (a, b) in enumerate(SAMPLER_PAIRS):
+        counts, ctr = beta_counts(
+            np.full(2000, a), np.full(2000, b), 1_000_000, stream_key(99, i), 0
+        )
+        h.update(counts.astype("<i8").tobytes())
+        h.update(ctr.to_bytes(8, "little"))
+    assert h.hexdigest() == "3d499af2a2fab6f8213b7f08d5a8797a48e8481a98368bf378f2026527c26c9a"
 
 
 def test_beta_counts_bounds_and_mean():
