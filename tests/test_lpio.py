@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -85,6 +86,20 @@ class TestExportCounts:
     def test_size_cap(self):
         with pytest.raises(TooLarge):
             export_lp(oversized_instance())
+
+
+@pytest.mark.parametrize(
+    "make,mode,digest",
+    [
+        (tiny_instance_o1, "literal", "ec7d7a10f37048d4f5e31aa087f7462a7a8de186e185d0b3b60e48123582a652"),
+        (tiny_instance_o1, "corrected", "230673c5c43063aec15cab9f931fa19228f3fb051a93415a13243bf59e4646fa"),
+        (micro_instance, "literal", "d028256744c1c7fab354000dd050398f13d315ee78b6cfb4bd9b62cee260231f"),
+        (micro_instance, "corrected", "e2ebe2a586d1ea00ac595e701a4d49954d93d87f79c7f87886aa926a1b25bcf5"),
+    ],
+)
+def test_export_text_digest(make, mode, digest):
+    # Pins the exact LP text: row order, term order and number format.
+    assert hashlib.sha256(export_lp(make(), mode).encode()).hexdigest() == digest
 
 
 class TestRoundTrip:
