@@ -7,8 +7,7 @@ swap (beta0, alpha0), weighted by an exponential schedule. Draws are scaled
 by the content's u_max and rounded half-to-even.
 
 Sampling runs on a counter-based stream keyed by (seed, content position),
-so output is identical across runs, platforms, and the compiled/fallback
-kernel paths.
+so output is identical across runs and platforms.
 """
 
 from __future__ import annotations
@@ -125,27 +124,6 @@ class GeneratorConfig:
                         f"phase [{ph.t0}, {ph.t1}] of content {prof.content} "
                         f"exceeds horizon {self.horizon}"
                     )
-
-
-class Stream:
-    """Sequential view over a counter-based uniform stream."""
-
-    def __init__(self, seed: int, stream_id: int = 0, counter: int = 0) -> None:
-        self.key = kernels.stream_key(seed, stream_id)
-        self.counter = counter
-
-    def next_unit(self) -> float:
-        u = kernels.unit_block(self.key, self.counter, 1)[0]
-        self.counter += 1
-        return float(u)
-
-
-def sample_count(alpha_t: float, beta_t: float, u_max: int, stream: Stream) -> int:
-    """One scaled beta draw: round(v * u_max) with v ~ Beta(alpha_t, beta_t)."""
-    counts, stream.counter = kernels.beta_counts(
-        np.array([alpha_t]), np.array([beta_t]), u_max, stream.key, stream.counter
-    )
-    return int(counts[0])
 
 
 def generate(config: GeneratorConfig) -> BinnedTrace:

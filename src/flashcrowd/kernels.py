@@ -1,8 +1,7 @@
 """Hot numeric kernels: the beta sampler and the detector's joint model.
 
-The beta sampler runs numba-compiled when numba (the optional ``fast``
-extra) is importable; set ``FLASHCROWD_NO_NUMBA=1`` to run its plain-python
-source instead. Both consume the same uniforms and give the same counts.
+The beta sampler is plain Python over a counter-based uniform stream, so
+each trace is a pure function of its seed.
 
 The detector kernels are numpy. ``frechet_mix`` models the joint of two
 marginals f and g (cumulative F and G) as theta * P_b + (1 - theta) * f g^T,
@@ -28,29 +27,20 @@ Everything is O(n log n) in the support size n.
 from __future__ import annotations
 
 import math
-import os
 from typing import NamedTuple
 
 import numpy as np
 
-_ENV_FLAG = "FLASHCROWD_NO_NUMBA"
-
-if os.environ.get(_ENV_FLAG, "") not in ("1", "true", "yes"):
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # numba is the optional "fast" extra
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
+# Always False: no kernel is compiled. Benchmark results still record it in
+# their environment block.
+NUMBA_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
 # Counter-based uniform stream (SplitMix64).
 #
 # Every uniform is a pure function of (key, counter), so sampling is
-# reproducible across platforms and across the numba/numpy code paths.
+# reproducible across platforms and independent of how the stream is read.
 # ---------------------------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
@@ -82,31 +72,47 @@ def unit_block(key: int, start: int, count: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * (2.0**-53)
 
 
+class _Uniforms:
+    """Reads a stream in order, a block at a time, counting what it hands out."""
+
+    BLOCK = 512
+
+    def __init__(self, key: int, counter: int) -> None:
+        self.key = key
+        self.fetched = counter  # stream position after the last block
+        self.rest: list[float] = []  # unread uniforms of that block, last first
+
+    def next(self) -> float:
+        if not self.rest:
+            self.rest = unit_block(self.key, self.fetched, self.BLOCK)[::-1].tolist()
+            self.fetched += self.BLOCK
+        return self.rest.pop()
+
+    @property
+    def counter(self) -> int:
+        """Stream position after the last uniform handed out."""
+        return self.fetched - len(self.rest)
+
+
 # ---------------------------------------------------------------------------
 # Beta sampling (Johnk for both shapes <= 1, Cheng BB/BC otherwise).
 #
-# Written against a plain uniform buffer so the exact same source compiles
-# under numba and runs as-is in pure python; the consumed-counter sequence is
-# identical either way. A draw that would run past the buffer reports
-# failure and is retried from the same counter with a larger buffer, so the
-# stream position per accepted draw does not depend on buffer sizes.
+# Each attempt reads two uniforms, so the stream position after a draw
+# depends only on the draw, never on how the stream is read.
 # ---------------------------------------------------------------------------
 
 _LOG4 = 1.3862943611198906
 
 
-def _draw_beta_impl(a, b, u, pos):
-    n = u.shape[0]
+def _draw_beta(a, b, u):
+    """One Beta(a, b) variate; ``u()`` returns the stream's next uniform."""
     if a <= 1.0 and b <= 1.0:
         while True:
-            if pos + 2 > n:
-                return False, 0.0, pos
-            x = u[pos] ** (1.0 / a)
-            y = u[pos + 1] ** (1.0 / b)
-            pos += 2
+            x = u() ** (1.0 / a)
+            y = u() ** (1.0 / b)
             s = x + y
             if s <= 1.0 and s > 0.0:
-                return True, x / s, pos
+                return x / s
     elif a > 1.0 and b > 1.0:
         # Cheng's BB rejection algorithm.
         a0 = a if a <= b else b
@@ -115,11 +121,8 @@ def _draw_beta_impl(a, b, u, pos):
         be = math.sqrt((al - 2.0) / (2.0 * a0 * b0 - al))
         ga = a0 + 1.0 / be
         while True:
-            if pos + 2 > n:
-                return False, 0.0, pos
-            u1 = u[pos]
-            u2 = u[pos + 1]
-            pos += 2
+            u1 = u()
+            u2 = u()
             if u1 <= 0.0:
                 continue
             v = be * math.log(u1 / (1.0 - u1))
@@ -129,15 +132,13 @@ def _draw_beta_impl(a, b, u, pos):
             z = u1 * u1 * u2
             r = ga * v - _LOG4
             s = a0 + r - w
-            if z <= 0.0 or s + 2.609437912434100 >= 5.0 * z:
-                pass
-            else:
+            if z > 0.0 and s + 2.609437912434100 < 5.0 * z:
                 t = math.log(z)
                 if s < t and r + al * math.log(al / (b0 + w)) < t:
                     continue
             if a <= b:
-                return True, w / (b0 + w), pos
-            return True, b0 / (b0 + w), pos
+                return w / (b0 + w)
+            return b0 / (b0 + w)
     else:
         # Cheng's BC: one shape <= 1 < the other.
         a0 = a if a >= b else b
@@ -148,13 +149,11 @@ def _draw_beta_impl(a, b, u, pos):
         k1 = de * (0.0138889 + 0.0416667 * b0) / (a0 * be - 0.777778)
         k2 = 0.25 + (0.5 + 0.25 / de) * b0
         while True:
-            if pos + 2 > n:
-                return False, 0.0, pos
-            u1 = u[pos]
-            u2 = u[pos + 1]
-            pos += 2
+            u1 = u()
+            u2 = u()
             if u1 <= 0.0 or u2 <= 0.0:
                 continue
+            quick = False  # accepted without the final log test
             if u1 < 0.5:
                 y = u1 * u2
                 z = u1 * y
@@ -162,68 +161,35 @@ def _draw_beta_impl(a, b, u, pos):
                     continue
             else:
                 z = u1 * u1 * u2
-                if z <= 0.25:
-                    v = be * math.log(u1 / (1.0 - u1))
-                    w = a0 * math.exp(v)
-                    if w > 1e300:
-                        w = 1e300
-                    if a >= b:
-                        return True, w / (b0 + w), pos
-                    return True, b0 / (b0 + w), pos
-                if z >= k2:
+                quick = z <= 0.25
+                if not quick and z >= k2:
                     continue
             v = be * math.log(u1 / (1.0 - u1))
             w = a0 * math.exp(v)
             if w > 1e300:
                 w = 1e300
-            if al * (math.log(al / (b0 + w)) + v) - _LOG4 >= math.log(z):
+            if quick or al * (math.log(al / (b0 + w)) + v) - _LOG4 >= math.log(z):
                 if a >= b:
-                    return True, w / (b0 + w), pos
-                return True, b0 / (b0 + w), pos
-
-
-def _fill_counts_impl(alphas, betas, u_max, u, out, start_bin):
-    # Returns (first unfinished bin, uniforms consumed by finished bins).
-    pos = 0
-    nbins = alphas.shape[0]
-    for i in range(start_bin, nbins):
-        ok, v, newpos = _draw_beta(alphas[i], betas[i], u, pos)
-        if not ok:
-            return i, pos
-        out[i] = int(np.rint(v * u_max))
-        pos = newpos
-    return nbins, pos
-
-
-if NUMBA_ENABLED:
-    _draw_beta = njit(cache=True)(_draw_beta_impl)
-    _fill_counts = njit(cache=True)(_fill_counts_impl)
-else:
-    _draw_beta = _draw_beta_impl
-    _fill_counts = _fill_counts_impl
+                    return w / (b0 + w)
+                return b0 / (b0 + w)
 
 
 def beta_counts(alphas, betas, u_max, key, counter):
     """Scaled/rounded beta draws for each (alpha, beta) pair in sequence.
 
-    Returns (int64 counts array, counter after the last consumed uniform).
+    Each draw v becomes round(v * u_max), rounded half to even. Returns
+    (int64 counts array, counter after the last consumed uniform).
     """
-    alphas = np.ascontiguousarray(alphas, dtype=np.float64)
-    betas = np.ascontiguousarray(betas, dtype=np.float64)
-    nbins = alphas.shape[0]
-    out = np.zeros(nbins, dtype=np.int64)
-    done = 0
-    chunk = 512
-    while done < nbins:
-        u = unit_block(key, counter, chunk)
-        new_done, used = _fill_counts(alphas, betas, int(u_max), u, out, done)
-        counter += used
-        if new_done == done:
-            chunk *= 2
-        else:
-            chunk = 512
-        done = new_done
-    return out, counter
+    stream = _Uniforms(key, counter)
+    u_max = int(u_max)
+    counts = [
+        round(_draw_beta(a, b, stream.next) * u_max)
+        for a, b in zip(
+            np.asarray(alphas, dtype=np.float64).tolist(),
+            np.asarray(betas, dtype=np.float64).tolist(),
+        )
+    ]
+    return np.array(counts, dtype=np.int64), stream.counter
 
 
 # ---------------------------------------------------------------------------

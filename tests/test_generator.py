@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from flashcrowd import kernels
 from flashcrowd.generator import (
     ContentProfile,
     GeneratorConfig,
     OutOfWindow,
     PhaseKind,
     PhaseSchedule,
-    Stream,
     flash_windows,
     generate,
     mixing_weight,
     read_generator_config,
-    sample_count,
     shape_at,
 )
 
@@ -100,16 +99,14 @@ class TestShapeAt:
 
 class TestSampleCount:
     def test_support_bound(self):
-        s = Stream(1, 0)
-        for _ in range(200):
-            v = sample_count(0.5, 6.0, 23, s)
-            assert 0 <= v <= 23
+        counts, _ = kernels.beta_counts(
+            np.full(200, 0.5), np.full(200, 6.0), 23, kernels.stream_key(1, 0), 0
+        )
+        assert ((0 <= counts) & (counts <= 23)).all()
 
     def test_moment_against_beta_mean(self):
         # Empirical mean over 1e5 draws vs u_max * a/(a+b).
         a, b, u = 8.0, 2.0, 60
-        from flashcrowd import kernels
-
         counts, _ = kernels.beta_counts(
             np.full(100000, a), np.full(100000, b), u, kernels.stream_key(11, 3), 0
         )
@@ -118,8 +115,6 @@ class TestSampleCount:
     def test_uniform_case_chi_square(self):
         # a = b = 1: rounding v*U makes half-width cells at both edges.
         u_max = 10
-        from flashcrowd import kernels
-
         counts, _ = kernels.beta_counts(
             np.full(50000, 1.0), np.full(50000, 1.0), u_max, kernels.stream_key(4, 0), 0
         )

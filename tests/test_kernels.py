@@ -1,9 +1,6 @@
 """Staircase joint against the dense reference, and sampler correctness."""
 
 import hashlib
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -11,8 +8,8 @@ import scipy.stats
 
 from flashcrowd import kernels
 from flashcrowd.kernels import (
-    _draw_beta_impl,
-    _fill_counts_impl,
+    _draw_beta,
+    _Uniforms,
     beta_counts,
     frechet_mix,
     pearson_counts,
@@ -108,40 +105,25 @@ def test_product_joint_entropy_is_exactly_the_marginal_sum():
     assert mix.h_x + mix.h_y - mix.h_xy == 0.0
 
 
-def test_beta_stream_identical_between_paths():
-    # The compiled and plain-python fill loops must consume the exact same
-    # uniforms and produce the exact same counts.
-    alphas = np.array([0.5, 0.5, 2.0, 2.0, 8.0, 0.3, 3.0, 1.0, 1.0, 5.0])
-    betas = np.array([0.5, 8.0, 5.0, 0.7, 2.0, 0.3, 3.0, 1.0, 9.0, 1.0])
-    key = stream_key(99, 1)
-    u = unit_block(key, 0, 10000)
-    out_a = np.zeros(10, dtype=np.int64)
-    out_b = np.zeros(10, dtype=np.int64)
-    done_a, used_a = kernels._fill_counts(alphas, betas, 100, u, out_a, 0)
-    done_b, used_b = _fill_counts_impl(alphas, betas, 100, u, out_b, 0)
-    assert done_a == done_b == 10
-    assert used_a == used_b
-    assert np.array_equal(out_a, out_b)
-
-
 def test_beta_counts_chunk_independent():
+    # Drawing in two calls, the second starting at the counter the first
+    # returned, must give the same counts and final counter as one call.
     alphas = np.full(200, 0.4)
     betas = np.full(200, 6.0)
     key = stream_key(5, 0)
     ref, ref_ctr = beta_counts(alphas, betas, 50, key, 0)
-    # Re-drawing with a tiny initial chunk must reproduce the same stream.
-    out = np.zeros(200, dtype=np.int64)
-    done = 0
-    ctr = 0
-    chunk = 3
-    while done < 200:
-        u = unit_block(key, ctr, chunk)
-        new_done, used = kernels._fill_counts(alphas, betas, 50, u, out, done)
-        ctr += used
-        chunk = chunk * 2 if new_done == done else 3
-        done = new_done
-    assert np.array_equal(ref, out)
-    assert ref_ctr == ctr
+    ends = [0]
+    for k in range(200):
+        ends.append(beta_counts(alphas[k : k + 1], betas[k : k + 1], 50, key, ends[-1])[1])
+    assert ends[-1] == ref_ctr
+    # The draw whose rejection loop reads across the first 512-uniform block.
+    edge = next(k for k in range(200) if ends[k] < 512 < ends[k + 1])
+    for split in (0, 1, edge, edge + 1, 199, 200):
+        head, ctr = beta_counts(alphas[:split], betas[:split], 50, key, 0)
+        assert ctr == ends[split]
+        tail, ctr = beta_counts(alphas[split:], betas[split:], 50, key, ctr)
+        assert np.array_equal(np.concatenate((head, tail)), ref)
+        assert ctr == ref_ctr
 
 
 @pytest.mark.parametrize(
@@ -152,13 +134,8 @@ def test_beta_sampler_matches_reference_distribution(a, b):
     # Kolmogorov-Smirnov against scipy's beta CDF; fixed seed, generous level.
     key = stream_key(2024, int(a * 10 + b))
     n = 20000
-    u = unit_block(key, 0, n * 40)
-    values = []
-    pos = 0
-    while len(values) < n:
-        ok, v, pos = _draw_beta_impl(a, b, u, pos)
-        assert ok
-        values.append(v)
+    u = _Uniforms(key, 0).next
+    values = [_draw_beta(a, b, u) for _ in range(n)]
     stat = scipy.stats.kstest(values, scipy.stats.beta(a, b).cdf)
     assert stat.pvalue > 1e-3, f"KS p={stat.pvalue} for Beta({a},{b})"
 
@@ -191,20 +168,3 @@ def test_beta_counts_bounds_and_mean():
     assert counts.min() >= 0 and counts.max() <= 60
     mean = counts.mean()
     assert abs(mean - 60 * 0.2) / (60 * 0.2) < 0.02
-
-
-def test_fallback_path_selected_by_env_flag():
-    code = (
-        "import flashcrowd.kernels as k; import numpy as np; "
-        "assert not k.NUMBA_ENABLED; "
-        "c,_ = k.beta_counts(np.array([2.0]), np.array([5.0]), 10, k.stream_key(1,0), 0); "
-        "print(int(c[0]))"
-    )
-    env = dict(os.environ, FLASHCROWD_NO_NUMBA="1")
-    res = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert res.returncode == 0, res.stderr
-    # Same draw through the default path of this process.
-    c, _ = beta_counts(np.array([2.0]), np.array([5.0]), 10, stream_key(1, 0), 0)
-    assert int(res.stdout.strip()) == int(c[0])

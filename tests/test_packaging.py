@@ -14,8 +14,8 @@ def test_find_packages_sees_flashcrowd():
     assert "flashcrowd" in setuptools.find_packages(where=str(SRC))
 
 
-def test_numba_is_an_optional_extra():
-    # Only the beta sampler uses numba, and it falls back to plain Python.
+def test_no_dependency_names_numba():
+    # Every kernel is plain Python or numpy; nothing installs a compiler.
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
 
@@ -23,7 +23,8 @@ def test_numba_is_an_optional_extra():
         return {re.split(r"[<>=!~ \[;]", r, maxsplit=1)[0].lower() for r in reqs}
 
     assert "numba" not in names(project["dependencies"])
-    assert "numba" in names(project["optional-dependencies"]["fast"])
+    for extra, reqs in project.get("optional-dependencies", {}).items():
+        assert "numba" not in names(reqs), extra
 
 
 def test_declared_scripts_resolve():
