@@ -35,10 +35,10 @@ class DegenerateBound(UserWarning):
 
 @dataclass(frozen=True)
 class DistributionPair:
-    """Marginals of the accesses at t - w (f/F) and t (g/G).
+    """Marginals of the accesses at t - w (f) and t (g).
 
     The support is the ascending union of contents with nonzero counts in
-    either bin; this canonical order defines the cumulative distributions.
+    either bin; a content's position in it is its value in the moments.
     A bin with zero total is represented as uniform over the support.
     """
 
@@ -47,8 +47,6 @@ class DistributionPair:
     c_now: np.ndarray
     f: np.ndarray
     g: np.ndarray
-    F: np.ndarray
-    G: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -131,16 +129,12 @@ def _pair_from_bins(prev: dict[int, int], now: dict[int, int]) -> DistributionPa
         raise EmptyBin("no accesses in either bin")
     c_prev = np.array([prev.get(c, 0) for c in support], dtype=np.float64)
     c_now = np.array([now.get(c, 0) for c in support], dtype=np.float64)
-    f = _marginal(c_prev)
-    g = _marginal(c_now)
     return DistributionPair(
         support=tuple(support),
         c_prev=c_prev,
         c_now=c_now,
-        f=f,
-        g=g,
-        F=np.cumsum(f),
-        G=np.cumsum(g),
+        f=_marginal(c_prev),
+        g=_marginal(c_now),
     )
 
 
@@ -161,17 +155,9 @@ def sample_rho(trace: BinnedTrace, t: int, w: int) -> float:
     return float(kernels.pearson_counts(pair.c_prev, pair.c_now))
 
 
-def _values_for(pair: DistributionPair, value_mode: str) -> np.ndarray:
-    if value_mode == "ordinal":
-        return np.arange(len(pair.support), dtype=np.float64)
-    if value_mode == "raw":
-        return np.array(pair.support, dtype=np.float64)
-    raise ValueError(f"unknown value_mode {value_mode!r}")
-
-
-def _joint(pair: DistributionPair, rho: float, value_mode: str) -> tuple[JointModel, int]:
+def _joint(pair: DistributionPair, rho: float) -> tuple[JointModel, int]:
     """The joint model and the ``kernels.MIX_*`` status of its construction."""
-    vals = _values_for(pair, value_mode)
+    vals = np.arange(len(pair.support), dtype=np.float64)
     mix = kernels.frechet_mix(pair.f, pair.g, rho, vals, vals)
     if mix.status == kernels.MIX_CLAMPED:
         logger.debug(
@@ -193,20 +179,17 @@ def _joint(pair: DistributionPair, rho: float, value_mode: str) -> tuple[JointMo
     return joint, mix.status
 
 
-def frechet_joint(
-    pair: DistributionPair, rho: float, value_mode: str = "ordinal"
-) -> JointModel:
+def frechet_joint(pair: DistributionPair, rho: float) -> JointModel:
     """Joint model targeting the sample correlation.
 
     With rho < 0 the lower Frechet extreme is mixed with the independent
     product, with rho > 0 the upper one; theta is chosen so the Pearson
     coefficient of the constructed joint equals rho. Content values in the
-    moment computation are ordinal positions by default ("raw" uses the
-    original ids). A sample rho beyond the attainable extreme clamps theta
-    to 1; a zero extreme with nonzero rho falls back to the product and
-    warns.
+    moment computation are positions in the support. A sample rho beyond
+    the attainable extreme clamps theta to 1; a zero extreme with nonzero
+    rho falls back to the product and warns.
     """
-    joint, status = _joint(pair, float(rho), value_mode)
+    joint, status = _joint(pair, float(rho))
     if status == kernels.MIX_DEGENERATE:
         warnings.warn(
             f"degenerate Frechet bound (rho={rho:.4g}); using independent joint",
@@ -228,13 +211,11 @@ def entropies(pair: DistributionPair, joint: JointModel, t: int = 0) -> Detectio
     )
 
 
-def point_at(
-    trace: BinnedTrace, t: int, w: int, value_mode: str = "ordinal"
-) -> DetectionPoint:
+def point_at(trace: BinnedTrace, t: int, w: int) -> DetectionPoint:
     """Full per-bin computation: distributions, rho, joint, entropies."""
     pair = build_distributions(trace, t, w)
     rho = float(kernels.pearson_counts(pair.c_prev, pair.c_now))
-    joint = frechet_joint(pair, rho, value_mode)
+    joint = frechet_joint(pair, rho)
     return entropies(pair, joint, t)
 
 
@@ -308,17 +289,11 @@ class _Flagger:
 class Detector:
     """Incremental detector; feed bins in order, read points and events."""
 
-    def __init__(
-        self,
-        w: int = 1,
-        flag_cfg: FlagConfig | None = None,
-        value_mode: str = "ordinal",
-    ) -> None:
+    def __init__(self, w: int = 1, flag_cfg: FlagConfig | None = None) -> None:
         if w <= 0:
             raise ValueError("window w must be positive")
         self.w = w
         self.cfg = flag_cfg or FlagConfig()
-        self.value_mode = value_mode
         self.points: list[DetectionPoint] = []
         self.degenerate_points = 0
         self._flagger = _Flagger(self.cfg)
@@ -340,7 +315,7 @@ class Detector:
         except EmptyBin:
             return None
         rho = float(kernels.pearson_counts(pair.c_prev, pair.c_now))
-        joint, status = _joint(pair, rho, self.value_mode)
+        joint, status = _joint(pair, rho)
         # Point-mass marginals collapse the bound correlation to 0 on sparse
         # bins; that is routine in long replays, so count instead of warn.
         if status == kernels.MIX_DEGENERATE:
@@ -364,10 +339,7 @@ class Detector:
 
 
 def detect(
-    trace: BinnedTrace,
-    w: int = 1,
-    flag_cfg: FlagConfig | None = None,
-    value_mode: str = "ordinal",
+    trace: BinnedTrace, w: int = 1, flag_cfg: FlagConfig | None = None
 ) -> DetectionSeries:
     """Run the detector over a full trace.
 
@@ -376,7 +348,7 @@ def detect(
     """
     if trace.horizon <= w:
         raise ValueError("trace horizon must exceed the window w")
-    det = Detector(w=w, flag_cfg=flag_cfg, value_mode=value_mode)
+    det = Detector(w=w, flag_cfg=flag_cfg)
     for t in range(trace.horizon):
         det.update(trace.bins[t])
     return det.series()

@@ -40,7 +40,6 @@ class TestBuildDistributions:
         pair = build_distributions(trace_of({1: 3, 2: 1}, {1: 1, 2: 3}), 1, 1)
         assert pair.f.tolist() == [0.75, 0.25]
         assert pair.g.tolist() == [0.25, 0.75]
-        assert pair.F.tolist() == [0.75, 1.0]
 
     def test_disjoint_supports(self):
         pair = build_distributions(trace_of({1: 2}, {2: 2}), 1, 1)
@@ -63,7 +62,6 @@ class TestBuildDistributions:
             now = {int(c): int(n) for c, n in zip(rng.integers(0, 30, 6), rng.integers(1, 9, 6))}
             pair = build_distributions(trace_of(prev, now), 1, 1)
             assert abs(pair.f.sum() - 1) < 1e-12 and abs(pair.g.sum() - 1) < 1e-12
-            assert abs(pair.F[-1] - 1) < 1e-12 and abs(pair.G[-1] - 1) < 1e-12
 
 
 class TestSampleRho:
@@ -161,13 +159,6 @@ class TestFrechetJoint:
         with pytest.warns(DegenerateBound):
             joint = frechet_joint(pair, 0.5)
         assert joint.p.tolist() == [[1.0]]
-
-    def test_raw_value_mode(self):
-        pair = build_distributions(trace_of({3: 1, 10: 2}, {3: 2, 10: 1}), 1, 1)
-        a = frechet_joint(pair, -0.5, value_mode="ordinal")
-        b = frechet_joint(pair, -0.5, value_mode="raw")
-        # n = 2: correlation is scale-invariant, so both modes agree here.
-        assert a.rho_bound == pytest.approx(b.rho_bound)
 
 
 class TestEntropies:
