@@ -129,6 +129,9 @@ def export_lp(instance: PlanningInstance, mode: str = "literal") -> str:
     server_ids = [srv.id for srv in inst.servers]
     binaries: list[str] = []
     objective: list[tuple[float, str]] = []
+    # (demand, slice variable) terms of request i on server j at period t,
+    # in o order; every bandwidth and handling row is built from these.
+    slices: dict[tuple[int, int, int], list[tuple[float, str]]] = {}
 
     for r in inst.requests:
         for j in server_ids:
@@ -136,8 +139,12 @@ def export_lp(instance: PlanningInstance, mode: str = "literal") -> str:
                 binaries.append(x(r.id, j, t))
                 if r.attend_cost:
                     objective.append((r.attend_cost, x(r.id, j, t)))
+                terms = slices[r.id, j, t] = []
                 for o in range(1, t + 1):
-                    binaries.append(s(r.id, o, j, t))
+                    var = s(r.id, o, j, t)
+                    binaries.append(var)
+                    if r.demand_at(o):
+                        terms.append((r.demand_at(o), var))
     b_vars: list[str] = []
     for r in inst.requests:
         start = inst.content_by_id[r.content].start
@@ -165,12 +172,7 @@ def export_lp(instance: PlanningInstance, mode: str = "literal") -> str:
     for r in inst.requests:
         start = inst.content_by_id[r.content].start
         for t in range(start, tf + 1):
-            terms = [
-                (r.demand_at(o), s(r.id, o, j, t))
-                for j in server_ids
-                for o in range(1, t + 1)
-                if r.demand_at(o)
-            ]
+            terms = [term for j in server_ids for term in slices[r.id, j, t]]
             terms.append((1.0, b(r.id, t)))
             if t - 1 >= start:
                 terms.append((-1.0, b(r.id, t - 1)))
@@ -179,33 +181,19 @@ def export_lp(instance: PlanningInstance, mode: str = "literal") -> str:
     for j in server_ids:
         srv = inst.server_by_id[j]
         for t in range(1, tf + 1):
-            terms = [
-                (r.demand_at(o), s(r.id, o, j, t))
-                for r in inst.requests
-                for o in range(1, t + 1)
-                if r.demand_at(o)
-            ]
+            terms = [term for r in inst.requests for term in slices[r.id, j, t]]
             if terms:
                 rows.add(f"r2_j{j}_t{t}", terms, "<=", srv.bandwidth)
 
     for r in inst.requests:
         for t in range(1, tf + 1):
-            terms = [
-                (r.demand_at(o), s(r.id, o, j, t))
-                for j in server_ids
-                for o in range(1, t + 1)
-                if r.demand_at(o)
-            ]
+            terms = [term for j in server_ids for term in slices[r.id, j, t]]
             if terms:
                 rows.add(f"r3_i{r.id}_t{t}", terms, "<=", inst.client_bandwidth)
 
     for r in inst.requests:
         terms = [
-            (r.demand_at(o), s(r.id, o, j, t))
-            for j in server_ids
-            for t in range(1, tf + 1)
-            for o in range(1, t + 1)
-            if r.demand_at(o)
+            term for j in server_ids for t in range(1, tf + 1) for term in slices[r.id, j, t]
         ]
         rows.add(f"r4_i{r.id}", terms, "=", r.total_demand)
 
@@ -213,12 +201,7 @@ def export_lp(instance: PlanningInstance, mode: str = "literal") -> str:
         size = inst.content_by_id[r.content].size
         for j in server_ids:
             for t in range(1, tf + 1):
-                terms = [
-                    (r.demand_at(o), s(r.id, o, j, t))
-                    for o in range(1, t + 1)
-                    if r.demand_at(o)
-                ]
-                terms.append((-size, x(r.id, j, t)))
+                terms = [*slices[r.id, j, t], (-size, x(r.id, j, t))]
                 rows.add(f"r4_1_i{r.id}_j{j}_t{t}", terms, "<=", 0.0)
 
     for r in inst.requests:
