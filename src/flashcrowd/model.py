@@ -171,10 +171,6 @@ class PlanningInstance:
         raw = math.ceil((t - self.provisioning_delay) / self.billing_granularity)
         return min(max(raw, 1), self.billing_slots)
 
-    def arrival_period(self, request: Request) -> int:
-        positive = [t for t, d in request.demand.items() if d > 0]
-        return min(positive) if positive else self.content_by_id[request.content].start
-
     @property
     def big_m(self) -> float:
         """Largest individual cost coefficient; normalizes the financial term.

@@ -93,12 +93,6 @@ class BinnedTrace:
     def horizon(self) -> int:
         return len(self.bins)
 
-    def bin(self, t: int) -> dict[int, int]:
-        return self.bins[t]
-
-    def bin_total(self, t: int) -> int:
-        return sum(self.bins[t].values())
-
     def total_count(self) -> int:
         return sum(sum(b.values()) for b in self.bins)
 
