@@ -1,5 +1,6 @@
 import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -306,6 +307,21 @@ class TestDetect:
         series = detect(BinnedTrace(1.0, bins, set()), w=1, flag_cfg=FlagConfig(m=2, warmup=5))
         assert [p.c_xy for p in series.points[:6]] == [0.0] * 6
         assert series.events == [(7, 9)]
+
+    def test_degenerate_pair_counted_not_warned(self):
+        # f is a point mass and the sample rho is -1: no extreme correlates,
+        # so the detector counts the point silently while frechet_joint warns.
+        trace = trace_of({0: 3}, {0: 1, 1: 2})
+        det = Detector(w=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for counts in trace.bins:
+                det.update(counts)
+        assert caught == []
+        assert det.degenerate_points == 1 and len(det.points) == 1
+        pair = build_distributions(trace, 1, 1)
+        with pytest.warns(DegenerateBound):
+            frechet_joint(pair, -1.0)
 
     def test_online_matches_batch(self):
         trace = generate(flash_config(2, horizon=600, up=(200, 260), down=(420, 480)))
