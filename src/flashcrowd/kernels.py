@@ -165,7 +165,8 @@ def _draw_beta(a, b, u):
                 if not quick and z >= k2:
                     continue
             v = be * math.log(u1 / (1.0 - u1))
-            w = a0 * math.exp(v)
+            # exp overflows past v = 709.78, and a0 * exp(709) > 1e300 (a0 > 1).
+            w = a0 * math.exp(v) if v < 709.0 else 1e300
             if w > 1e300:
                 w = 1e300
             if quick or al * (math.log(al / (b0 + w)) + v) - _LOG4 >= math.log(z):

@@ -161,6 +161,14 @@ def test_beta_counts_digest():
     assert h.hexdigest() == "3d499af2a2fab6f8213b7f08d5a8797a48e8481a98368bf378f2026527c26c9a"
 
 
+def test_beta_counts_tiny_shape_does_not_overflow():
+    # Cheng BC with b0 = 0.01: be = 100, so exp(v) would overflow for u1
+    # near 1; w must clamp to 1e300 instead.
+    counts, _ = beta_counts(np.full(20000, 2.0), np.full(20000, 0.01), 100, stream_key(1, 0), 0)
+    assert counts.min() >= 0 and counts.max() <= 100
+    assert abs(counts.mean() - 100 * 2.0 / 2.01) < 0.2  # Beta(2, 0.01) mean
+
+
 def test_beta_counts_bounds_and_mean():
     alphas = np.full(100000, 2.0)
     betas = np.full(100000, 8.0)
