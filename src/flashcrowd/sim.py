@@ -108,6 +108,16 @@ class ScenarioConfig:
             raise ScenarioInvalid(f"unknown owned type {self.owned_type!r}")
         if self.autoscaling_vm not in self.types:
             raise ScenarioInvalid(f"unknown autoscaling type {self.autoscaling_vm!r}")
+        if self.billing_granularity < 1:
+            raise ScenarioInvalid("billing granularity must be >= 1")
+        if self.replication_delay < 0 or self.provisioning_delay < 0:
+            raise ScenarioInvalid("replication and provisioning delays must be >= 0")
+        if not 0.0 <= self.plan_bandwidth_margin < 1.0:
+            raise ScenarioInvalid("plan bandwidth margin must be in [0, 1)")
+        if self.client_bandwidth <= 0.0:
+            raise ScenarioInvalid("client bandwidth must be positive")
+        if self.detector_w < 1:
+            raise ScenarioInvalid("detector window must be >= 1")
 
     def size_of(self, content: int) -> float:
         return self.sizes.get(content, self.default_size)

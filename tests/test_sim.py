@@ -7,7 +7,14 @@ import pytest
 
 from flashcrowd import sim
 from flashcrowd.model import Infeasible
-from flashcrowd.sim import ProvenanceMismatch, compare, read_scenario, run_baseline, run_pipeline
+from flashcrowd.sim import (
+    ProvenanceMismatch,
+    ScenarioInvalid,
+    compare,
+    read_scenario,
+    run_baseline,
+    run_pipeline,
+)
 from util_scenarios import flat_scenario_ini, scenario1_ini
 
 POLICIES = {"pipeline": run_pipeline, "baseline": run_baseline}
@@ -106,3 +113,27 @@ def test_infeasible_replans_keep_the_current_fleet(monkeypatch, scenarios):
     assert report.total_offered == pytest.approx(
         report.total_attended + report.unserved_bytes, rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("billing_granularity", "0"),
+        ("plan_bandwidth_margin", "1.0"),
+        ("plan_bandwidth_margin", "-0.1"),
+        ("replication_delay", "-1"),
+        ("provisioning_delay", "-1"),
+        ("client_bandwidth", "0"),
+        ("w", "0"),
+    ],
+)
+def test_bad_scenario_values_rejected_at_load(tmp_path, key, value):
+    # Each of these once failed a replay midway instead of at load; a client
+    # bandwidth of 0 made the demand schedule grow until memory ran out.
+    path = scenario1_ini(tmp_path)
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+    lines[at] = f"{key} = {value}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScenarioInvalid):
+        read_scenario(str(path))
