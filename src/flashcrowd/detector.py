@@ -6,8 +6,9 @@ coefficient of the raw count vectors, models the joint distribution as a
 convex combination of the independent product and the matching
 Frechet-bound extreme (lower bound for negative correlation, upper for
 positive), and reports marginal/joint entropies plus the total correlation
-C = H(X) + H(Y) - H(X, Y). Flash crowds surface as sustained jumps of C
-above an exponentially-weighted baseline.
+C = H(X) + H(Y) - H(X, Y). A content's value in the moments is its position
+in the support. Flash crowds surface as sustained jumps of C above an
+exponentially-weighted baseline.
 """
 
 from __future__ import annotations
@@ -50,35 +51,9 @@ class DistributionPair:
 
 
 @dataclass(frozen=True)
-class JointModel:
-    """theta * P_b + (1 - theta) * f g^T and its entropies in bits.
-
-    P_b, the Frechet extreme, is kept as its staircase: ``mass[k]`` on cell
-    (``rows[k]``, ``cols[k]``), nothing elsewhere.
-    """
-
-    rho: float
-    rho_bound: float
-    theta: float
-    h_x: float
-    h_y: float
-    h_xy: float
-    f: np.ndarray
-    g: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    mass: np.ndarray
-
-    @property
-    def p(self) -> np.ndarray:
-        """The dense n x n joint, for inspection; detection never builds it."""
-        p = (1.0 - self.theta) * np.outer(self.f, self.g)
-        p[self.rows, self.cols] += self.theta * self.mass
-        return p
-
-
-@dataclass(frozen=True)
 class DetectionPoint:
+    """Entropies in bits at bin t, C = h_x + h_y - h_xy, support size n."""
+
     t: int
     h_x: float
     h_y: float
@@ -146,77 +121,33 @@ def build_distributions(trace: BinnedTrace, t: int, w: int) -> DistributionPair:
     return _pair_from_bins(trace.bins[t - w], trace.bins[t])
 
 
-def sample_rho(trace: BinnedTrace, t: int, w: int) -> float:
-    """Pearson coefficient of the two count vectors over the union support.
-
-    Zero variance on either side yields 0 (no measurable association).
-    """
-    pair = build_distributions(trace, t, w)
-    return float(kernels.pearson_counts(pair.c_prev, pair.c_now))
-
-
-def _joint(pair: DistributionPair, rho: float) -> tuple[JointModel, int]:
-    """The joint model and the ``kernels.MIX_*`` status of its construction."""
-    vals = np.arange(len(pair.support), dtype=np.float64)
-    mix = kernels.frechet_mix(pair.f, pair.g, rho, vals, vals)
+def _mix(pair: DistributionPair, rho: float) -> kernels.Mix:
+    mix = kernels.frechet_mix(pair.f, pair.g, rho)
     if mix.status == kernels.MIX_CLAMPED:
         logger.debug(
             "sample rho %.4g beyond attainable bound %.4g; theta clamped", rho, mix.rho_bound
         )
-    joint = JointModel(
-        rho=rho,
-        rho_bound=mix.rho_bound,
-        theta=mix.theta,
-        h_x=mix.h_x,
-        h_y=mix.h_y,
-        h_xy=mix.h_xy,
-        f=pair.f,
-        g=pair.g,
-        rows=mix.rows,
-        cols=mix.cols,
-        mass=mix.mass,
-    )
-    return joint, mix.status
+    return mix
 
 
-def frechet_joint(pair: DistributionPair, rho: float) -> JointModel:
+def frechet_joint(pair: DistributionPair, rho: float) -> kernels.Mix:
     """Joint model targeting the sample correlation.
 
     With rho < 0 the lower Frechet extreme is mixed with the independent
     product, with rho > 0 the upper one; theta is chosen so the Pearson
-    coefficient of the constructed joint equals rho. Content values in the
-    moment computation are positions in the support. A sample rho beyond
-    the attainable extreme clamps theta to 1; a zero extreme with nonzero
-    rho falls back to the product and warns.
+    coefficient of the constructed joint equals rho, with support positions
+    as content values. A sample rho beyond the attainable extreme clamps
+    theta to 1; a zero extreme with nonzero rho falls back to the product
+    and warns.
     """
-    joint, status = _joint(pair, float(rho))
-    if status == kernels.MIX_DEGENERATE:
+    mix = _mix(pair, float(rho))
+    if mix.status == kernels.MIX_DEGENERATE:
         warnings.warn(
             f"degenerate Frechet bound (rho={rho:.4g}); using independent joint",
             DegenerateBound,
             stacklevel=2,
         )
-    return joint
-
-
-def entropies(pair: DistributionPair, joint: JointModel, t: int = 0) -> DetectionPoint:
-    """Marginal/joint entropies in bits (0 log 0 := 0) and total correlation."""
-    return DetectionPoint(
-        t=t,
-        h_x=joint.h_x,
-        h_y=joint.h_y,
-        h_xy=joint.h_xy,
-        c_xy=joint.h_x + joint.h_y - joint.h_xy,
-        n=len(pair.support),
-    )
-
-
-def point_at(trace: BinnedTrace, t: int, w: int) -> DetectionPoint:
-    """Full per-bin computation: distributions, rho, joint, entropies."""
-    pair = build_distributions(trace, t, w)
-    rho = float(kernels.pearson_counts(pair.c_prev, pair.c_now))
-    joint = frechet_joint(pair, rho)
-    return entropies(pair, joint, t)
+    return mix
 
 
 class _Flagger:
@@ -314,13 +245,19 @@ class Detector:
             pair = _pair_from_bins(self._history[0], self._history[-1])
         except EmptyBin:
             return None
-        rho = float(kernels.pearson_counts(pair.c_prev, pair.c_now))
-        joint, status = _joint(pair, rho)
+        mix = _mix(pair, kernels.pearson_counts(pair.c_prev, pair.c_now))
         # Point-mass marginals collapse the bound correlation to 0 on sparse
         # bins; that is routine in long replays, so count instead of warn.
-        if status == kernels.MIX_DEGENERATE:
+        if mix.status == kernels.MIX_DEGENERATE:
             self.degenerate_points += 1
-        point = entropies(pair, joint, self._t)
+        point = DetectionPoint(
+            t=self._t,
+            h_x=mix.h_x,
+            h_y=mix.h_y,
+            h_xy=mix.h_xy,
+            c_xy=mix.h_x + mix.h_y - mix.h_xy,
+            n=len(pair.support),
+        )
         self.points.append(point)
         self._flagger.observe(point.t, point.c_xy)
         return point
@@ -352,17 +289,3 @@ def detect(
     for t in range(trace.horizon):
         det.update(trace.bins[t])
     return det.series()
-
-
-def write_points_csv(series: DetectionSeries, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,h_x,h_y,h_xy,c_xy\n")
-        for p in series.points:
-            fh.write(f"{p.t},{p.h_x:.12g},{p.h_y:.12g},{p.h_xy:.12g},{p.c_xy:.12g}\n")
-
-
-def write_events_csv(series: DetectionSeries, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("start,end\n")
-        for s, e in series.events:
-            fh.write(f"{s},{e}\n")

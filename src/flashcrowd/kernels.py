@@ -6,15 +6,18 @@ each trace is a pure function of its seed.
 The detector kernels are numpy. ``frechet_mix`` models the joint of two
 marginals f and g (cumulative F and G) as theta * P_b + (1 - theta) * f g^T,
 where P_b is a Frechet-Hoeffding extreme, and returns its entropy without
-building the n x n matrix. Each extreme is a staircase: draw U uniform on
-(0, 1] and put X in row i when F[i-1] < U <= F[i]; the upper (comonotone)
-extreme puts Y in column j when G[j-1] < U <= G[j], the lower
-(countermonotone) one when 1 - G[j] <= U < 1 - G[j-1]. Between two
-consecutive breakpoints of the merged sets the cell (i, j) is fixed, so
-P_b has at most 2n - 1 nonzero cells, found with ``np.searchsorted``. The
-lower extreme's breakpoints are taken as 1 - G, not as cumulative sums of
-the reversed g: the rectangle form max(F + G - 1, 0) of that bound puts
-its cell edges exactly at F = 1 - G.
+building the n x n matrix. A content's value in the moments is its
+position in the support, 0..n-1, in both marginals.
+
+Each extreme is a staircase: draw U uniform on (0, 1] and put X in row i
+when F[i-1] < U <= F[i]; the upper (comonotone) extreme puts Y in column j
+when G[j-1] < U <= G[j], the lower (countermonotone) one when
+1 - G[j] <= U < 1 - G[j-1]. Between two consecutive breakpoints of the
+merged sets the cell (i, j) is fixed, so P_b has at most 2n - 1 nonzero
+cells, found with ``np.searchsorted``. The lower extreme's breakpoints are
+taken as 1 - G, not as cumulative sums of the reversed g: the rectangle
+form max(F + G - 1, 0) of that bound puts its cell edges exactly at
+F = 1 - G.
 
 With phi(x) = -x log2 x, every cell off the staircase holds
 (1 - theta) f_i g_j, and summing phi of that over all cells gives
@@ -288,28 +291,29 @@ class Mix(NamedTuple):
 _NO_CELLS = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
 
 
-def frechet_mix(f, g, rho, xv, yv):
+def frechet_mix(f, g, rho):
     """Mix of the product and the Frechet extreme whose correlation is rho.
 
     The extreme is the lower one for rho < 0 and the upper one otherwise;
-    rho_bound is its Pearson coefficient for row values xv and column
-    values yv, and theta = rho / rho_bound clamped to [0, 1]. A product
-    joint (rho == 0, rho_bound == 0 or theta clamped to 0) has
-    h_xy = h_x + h_y exactly.
+    rho_bound is its Pearson coefficient with support positions 0..n-1 as
+    the values of both variables, and theta = rho / rho_bound clamped to
+    [0, 1]. A product joint (rho == 0, rho_bound == 0 or theta clamped to
+    0) has h_xy = h_x + h_y exactly.
     """
     h_x = entropy_bits(f)
     h_y = entropy_bits(g)
     product = Mix(*_NO_CELLS, 0.0, 0.0, h_x, h_y, h_x + h_y, MIX_OK)
     if rho == 0.0:
         return product
-    ex = float(np.dot(xv, f))
-    ey = float(np.dot(yv, g))
-    vx = float(np.dot(xv * xv, f)) - ex * ex
-    vy = float(np.dot(yv * yv, g)) - ey * ey
+    vals = np.arange(f.shape[0], dtype=np.float64)
+    ex = float(np.dot(vals, f))
+    ey = float(np.dot(vals, g))
+    vx = float(np.dot(vals * vals, f)) - ex * ex
+    vy = float(np.dot(vals * vals, g)) - ey * ey
     if vx <= 1e-300 or vy <= 1e-300:
         return product._replace(status=MIX_DEGENERATE)
     rows, cols, mass = staircase(f, g, upper=rho > 0.0)
-    exy = float(np.dot(xv[rows] * yv[cols], mass))
+    exy = float(np.dot(vals[rows] * vals[cols], mass))
     rho_b = (exy - ex * ey) / (math.sqrt(vx) * math.sqrt(vy))
     if rho_b == 0.0:
         return product._replace(status=MIX_DEGENERATE)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from flashcrowd import kernels
 from flashcrowd.detector import (
     DegenerateBound,
     Detector,
@@ -12,10 +13,7 @@ from flashcrowd.detector import (
     FlagConfig,
     build_distributions,
     detect,
-    entropies,
     frechet_joint,
-    point_at,
-    sample_rho,
 )
 from flashcrowd.generator import (
     ContentProfile,
@@ -25,11 +23,24 @@ from flashcrowd.generator import (
     generate,
 )
 from flashcrowd.trace import BinnedTrace
-from util_joint import dense_rho_of_joint, exact_joint
+from util_joint import dense_joint, dense_rho_of_joint, exact_joint
 
 
 def trace_of(*bins, width=1.0):
     return BinnedTrace(width, [dict(b) for b in bins], set())
+
+
+def sample_rho(prev, now):
+    """Pearson coefficient of the count vectors the detector compares."""
+    pair = build_distributions(trace_of(prev, now), 1, 1)
+    return kernels.pearson_counts(pair.c_prev, pair.c_now)
+
+
+def point_of(prev, now):
+    """The detector's only point on the two-bin trace (prev, now)."""
+    (point,) = detect(trace_of(prev, now), w=1).points
+    assert point.t == 1
+    return point
 
 
 def expect_degenerate(pair, rho):
@@ -77,24 +88,20 @@ class TestBuildDistributions:
 class TestSampleRho:
     def test_antithetic_counts(self):
         # Direct evaluation of the correlation formula gives -1.
-        assert sample_rho(trace_of({0: 3, 1: 1}, {0: 1, 1: 3}), 1, 1) == pytest.approx(
-            -1.0, abs=1e-12
-        )
+        assert sample_rho({0: 3, 1: 1}, {0: 1, 1: 3}) == pytest.approx(-1.0, abs=1e-12)
 
     def test_identical_counts(self):
-        assert sample_rho(trace_of({0: 3, 1: 1}, {0: 3, 1: 1}), 1, 1) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert sample_rho({0: 3, 1: 1}, {0: 3, 1: 1}) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_variance_rule(self):
-        assert sample_rho(trace_of({0: 2, 1: 2}, {0: 1, 1: 3}), 1, 1) == 0.0
+        assert sample_rho({0: 2, 1: 2}, {0: 1, 1: 3}) == 0.0
 
 
 class TestFrechetJoint:
     def test_independent_product(self):
         pair = build_distributions(trace_of({1: 3, 2: 1}, {1: 1, 2: 3}), 1, 1)
         joint = frechet_joint(pair, 0.0)
-        assert np.allclose(joint.p, np.outer(pair.f, pair.g), atol=0)
+        assert np.allclose(dense_joint(joint, pair.f, pair.g), np.outer(pair.f, pair.g), atol=0)
         assert joint.theta == 0.0
 
     def test_antithetic_lower_bound(self):
@@ -105,14 +112,14 @@ class TestFrechetJoint:
         assert joint.rho_bound == pytest.approx(-1.0, abs=1e-12)
         assert joint.theta == pytest.approx(1.0, abs=1e-12)
         expected = np.array([[0.0, 0.75], [0.25, 0.0]])
-        assert np.allclose(joint.p, expected, atol=1e-12)
+        assert np.allclose(dense_joint(joint, pair.f, pair.g), expected, atol=1e-12)
 
     def test_comonotone_upper_bound(self):
         # f = g and rho = 1: the upper extreme is the diagonal coupling.
         pair = build_distributions(trace_of({1: 1, 2: 3}, {1: 1, 2: 3}), 1, 1)
         joint = frechet_joint(pair, 1.0)
         assert joint.theta == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(joint.p, np.diag(pair.f), atol=1e-12)
+        assert np.allclose(dense_joint(joint, pair.f, pair.g), np.diag(pair.f), atol=1e-12)
 
     def test_marginals_preserved_and_rho_targeted(self):
         rng = np.random.default_rng(7)
@@ -133,13 +140,12 @@ class TestFrechetJoint:
                     continue
                 rho = sign * float(rng.random()) * abs(bound)
                 joint = frechet_joint(pair, rho)
-                m = len(pair.support)
-                assert np.max(np.abs(joint.p.sum(axis=1) - pair.f)) < 1e-9
-                assert np.max(np.abs(joint.p.sum(axis=0) - pair.g)) < 1e-9
-                assert abs(joint.p.sum() - 1.0) < 1e-9
+                p = dense_joint(joint, pair.f, pair.g)
+                assert np.max(np.abs(p.sum(axis=1) - pair.f)) < 1e-9
+                assert np.max(np.abs(p.sum(axis=0) - pair.g)) < 1e-9
+                assert abs(p.sum() - 1.0) < 1e-9
                 assert 0.0 <= joint.theta <= 1.0
-                xv = np.arange(m, dtype=np.float64)
-                rho_hat = dense_rho_of_joint(joint.p, pair.f, pair.g, xv, xv)
+                rho_hat = dense_rho_of_joint(p, pair.f, pair.g)
                 assert abs(rho_hat - rho) < 1e-6
 
     def test_componentwise_bound_chain(self):
@@ -159,33 +165,30 @@ class TestFrechetJoint:
         # Proportional-plus-offset counts: sample rho is 1 but the ordinal
         # upper bound is weaker, so theta clamps to 1.
         pair = build_distributions(trace_of({0: 1, 1: 2}, {0: 2, 1: 3}), 1, 1)
-        rho = sample_rho(trace_of({0: 1, 1: 2}, {0: 2, 1: 3}), 1, 1)
+        rho = sample_rho({0: 1, 1: 2}, {0: 2, 1: 3})
         assert rho == pytest.approx(1.0)
         joint = frechet_joint(pair, rho)
         assert abs(joint.rho_bound) < 1.0
         assert joint.theta == 1.0
-        assert (joint.p >= -1e-15).all()
+        assert (dense_joint(joint, pair.f, pair.g) >= -1e-15).all()
 
     def test_degenerate_bound_warns_and_falls_back(self):
         pair = build_distributions(trace_of({1: 4}, {1: 4}), 1, 1)
         with pytest.warns(DegenerateBound):
             joint = frechet_joint(pair, 0.5)
-        assert joint.p.tolist() == [[1.0]]
+        assert dense_joint(joint, pair.f, pair.g).tolist() == [[1.0]]
 
 
 class TestEntropies:
+    """Entropies and C of the points that ``detect`` reports."""
+
     def test_single_content_all_zero(self):
-        pair = build_distributions(trace_of({0: 5}, {0: 2}), 1, 1)
-        joint = frechet_joint(pair, 0.0)
-        pt = entropies(pair, joint)
+        pt = point_of({0: 5}, {0: 2})
         assert pt.h_x == pt.h_y == pt.h_xy == pt.c_xy == 0.0
         assert pt.n == 1
 
     def test_independent_uniform_n4(self):
-        pair = build_distributions(
-            trace_of({0: 2, 1: 2, 2: 2, 3: 2}, {0: 3, 1: 3, 2: 3, 3: 3}), 1, 1
-        )
-        pt = entropies(pair, frechet_joint(pair, 0.0))
+        pt = point_of({0: 2, 1: 2, 2: 2, 3: 2}, {0: 3, 1: 3, 2: 3, 3: 3})
         assert pt.h_x == pytest.approx(2.0, abs=1e-12)
         assert pt.h_y == pytest.approx(2.0, abs=1e-12)
         assert pt.h_xy == pytest.approx(4.0, abs=1e-12)
@@ -193,8 +196,7 @@ class TestEntropies:
 
     def test_antithetic_case_entropy(self):
         # H(X) = H(Y) = H(X,Y) = -(3/4 log 3/4 + 1/4 log 1/4) ~ 0.8113 bits.
-        pair = build_distributions(trace_of({1: 3, 2: 1}, {1: 1, 2: 3}), 1, 1)
-        pt = entropies(pair, frechet_joint(pair, -1.0))
+        pt = point_of({1: 3, 2: 1}, {1: 1, 2: 3})
         h = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
         assert pt.h_x == pytest.approx(h, abs=1e-12)
         assert pt.h_xy == pytest.approx(h, abs=1e-12)
@@ -206,13 +208,10 @@ class TestEntropies:
             n = int(rng.integers(1, 15))
             cp = {i: int(c) for i, c in enumerate(rng.integers(0, 8, n))}
             cn = {i: int(c) for i, c in enumerate(rng.integers(0, 8, n))}
-            tr = trace_of(cp, cn)
-            try:
-                pair = build_distributions(tr, 1, 1)
-            except EmptyBin:
+            if not any(cp.values()) and not any(cn.values()):
+                assert detect(trace_of(cp, cn), w=1).points == []
                 continue
-            with expect_degenerate(pair, sample_rho(tr, 1, 1)):
-                pt = point_at(tr, 1, 1)
+            pt = point_of(cp, cn)
             bound = math.log2(pt.n) if pt.n > 1 else 0.0
             assert pt.h_x <= bound + 1e-9 and pt.h_y <= bound + 1e-9
             assert pt.h_xy <= 2 * bound + 1e-9
@@ -351,4 +350,4 @@ class TestExactOracle:
                 rho_bound, theta, h_xy = exact_joint(*counts, rho)
                 assert abs(joint.rho_bound - rho_bound) < 1e-12
                 assert abs(joint.theta - theta) < 1e-12
-                assert abs(entropies(pair, joint).h_xy - h_xy) < 1e-12
+                assert abs(joint.h_xy - h_xy) < 1e-12

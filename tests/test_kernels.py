@@ -16,7 +16,7 @@ from flashcrowd.kernels import (
     stream_key,
     unit_block,
 )
-from util_joint import dense_entropy_bits, dense_frechet_mix, dense_rho_of_joint
+from util_joint import dense_entropy_bits, dense_frechet_mix, dense_joint, dense_rho_of_joint
 
 
 def random_marginal(rng, n):
@@ -40,29 +40,22 @@ def test_stream_keys_differ_across_streams_and_seeds():
     assert len(keys) == 150
 
 
-def dense_of(mix, f, g):
-    p = (1.0 - mix.theta) * np.outer(f, g)
-    p[mix.rows, mix.cols] += mix.theta * mix.mass
-    return p
-
-
 def test_staircase_matches_dense_reference():
     rng = np.random.default_rng(42)
     for n in (1, 2, 3, 7, 20):
         f = random_marginal(rng, n)
         g = random_marginal(rng, n)
-        xv = np.arange(n, dtype=np.float64)
         for rho in (-0.9, -0.3, 0.0, 0.4, 1.0):
-            mix = frechet_mix(f, g, rho, xv, xv)
-            p_ref, th_ref, rb_ref, st_ref = dense_frechet_mix(f, g, rho, xv, xv)
+            mix = frechet_mix(f, g, rho)
+            p_ref, th_ref, rb_ref, st_ref = dense_frechet_mix(f, g, rho)
             assert mix.status == st_ref
             assert abs(mix.theta - th_ref) < 1e-12
             assert abs(mix.rho_bound - rb_ref) < 1e-12
-            p = dense_of(mix, f, g)
+            p = dense_joint(mix, f, g)
             assert np.max(np.abs(p - p_ref)) < 1e-12
             assert abs(mix.h_xy - dense_entropy_bits(p_ref)) < 1e-10
-            rho_p = dense_rho_of_joint(p, f, g, xv, xv)
-            assert abs(rho_p - dense_rho_of_joint(p_ref, f, g, xv, xv)) < 1e-12
+            rho_p = dense_rho_of_joint(p, f, g)
+            assert abs(rho_p - dense_rho_of_joint(p_ref, f, g)) < 1e-12
         c1 = rng.integers(0, 20, n).astype(np.float64)
         c2 = rng.integers(0, 20, n).astype(np.float64)
         want = np.corrcoef(c1, c2)[0, 1] if c1.std() > 0 and c2.std() > 0 else 0.0
@@ -92,15 +85,14 @@ def test_staircase_cells_cover_each_extreme_once():
 
 def test_product_joint_entropy_is_exactly_the_marginal_sum():
     rng = np.random.default_rng(9)
-    xv = np.arange(6, dtype=np.float64)
     f = random_marginal(rng, 6)
     g = random_marginal(rng, 6)
-    mix = frechet_mix(f, g, 0.0, xv, xv)
+    mix = frechet_mix(f, g, 0.0)
     assert mix.status == kernels.MIX_OK and len(mix.rows) == 0
     assert mix.h_xy == mix.h_x + mix.h_y
     point = np.zeros(6)
     point[2] = 1.0
-    mix = frechet_mix(point, g, 0.5, xv, xv)
+    mix = frechet_mix(point, g, 0.5)
     assert mix.status == kernels.MIX_DEGENERATE
     assert mix.h_x + mix.h_y - mix.h_xy == 0.0
 

@@ -1,5 +1,7 @@
 """Reference joints for the detector kernels.
 
+Content values are support positions 0..n-1, as in the kernel.
+``dense_joint`` expands a ``kernels.Mix`` into its n x n matrix.
 ``dense_frechet_mix`` builds the joint as an n x n matrix from rectangle
 differences of the Frechet bound, a route to the same joint that shares
 no code with the staircase kernel. ``exact_joint`` is the oracle: the
@@ -86,21 +88,29 @@ def exact_joint(c_prev, c_now, rho):
     return rho_bound, float(theta), h_xy
 
 
-def dense_rho_of_joint(p, f, g, xv, yv):
+def dense_joint(mix, f, g):
+    """The n x n matrix of a ``kernels.Mix`` of marginals f and g."""
+    p = (1.0 - mix.theta) * np.outer(f, g)
+    p[mix.rows, mix.cols] += mix.theta * mix.mass
+    return p
+
+
+def dense_rho_of_joint(p, f, g):
     """Pearson coefficient of a dense joint ``p`` with marginals f and g."""
-    ex = float(np.dot(xv, f))
-    ex2 = float(np.dot(xv * xv, f))
-    ey = float(np.dot(yv, g))
-    ey2 = float(np.dot(yv * yv, g))
+    vals = np.arange(f.shape[0], dtype=np.float64)
+    ex = float(np.dot(vals, f))
+    ex2 = float(np.dot(vals * vals, f))
+    ey = float(np.dot(vals, g))
+    ey2 = float(np.dot(vals * vals, g))
     vx = ex2 - ex * ex
     vy = ey2 - ey * ey
     if vx <= 1e-300 or vy <= 1e-300:
         return 0.0
-    exy = math.fsum((np.outer(xv, yv) * p).ravel())
+    exy = math.fsum((np.outer(vals, vals) * p).ravel())
     return (exy - ex * ey) / (math.sqrt(vx) * math.sqrt(vy))
 
 
-def dense_frechet_mix(f, g, rho, xv, yv):
+def dense_frechet_mix(f, g, rho):
     """(p, theta, rho_bound, status) of the mixture, p dense n x n."""
     n = f.shape[0]
     if rho == 0.0:
@@ -114,7 +124,7 @@ def dense_frechet_mix(f, g, rho, xv, yv):
         pad[1:, 1:] = np.minimum(F[:, None], G[None, :])
     pb = pad[1:, 1:] - pad[:-1, 1:] - pad[1:, :-1] + pad[:-1, :-1]
     np.maximum(pb, 0.0, out=pb)
-    rho_b = dense_rho_of_joint(pb, f, g, xv, yv)
+    rho_b = dense_rho_of_joint(pb, f, g)
     if rho_b == 0.0:
         return np.outer(f, g), 0.0, 0.0, MIX_DEGENERATE
     theta = rho / rho_b
