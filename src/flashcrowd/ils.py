@@ -14,20 +14,29 @@ ordering; a failed neighborhood leaves the candidate set until some move
 improves. Perturbation applies level + 1 random feasible moves from
 {Shift, Swap, Split, Merge}.
 
-How a candidate is judged: ``cannot_improve`` first screens it without
-touching the plan. It flags moves that would certainly fail (an existing
-fresh destination event, a period outside [arrival, horizon], bandwidth
-exceeded well beyond place's tolerance) and moves whose cost delta has a
-lower bound >= 0.0. The bound is the exact backlog, attendance and hire
-delta (penalty prefix sums, x_count and z_count transitions) minus the copy
-cost of every non-origin source window the move empties; target windows can
-only add copy cost, so the bound never exceeds the true delta. Descent
-accepts only delta < -EPS, and the threshold is 0.0 rather than -EPS so that
-rounding between the bound and the applied delta cannot reject a move the
-search would accept. Only the remaining moves are applied. ``apply_move``
-records the prior value of every plan entry a move can touch and restores
-them exactly on failure or revert, so a rejected move leaves no trace and
-screening changes no search outcome.
+How a candidate is judged: shift, split, merge and d-delay each move slices
+of one source event to one target (server, period). Their builders compute
+the screen terms that do not depend on the target once per source, check
+each target against them (range, fresh key, and the cost bound below) and
+build a move only when it survives; they yield None in its place
+otherwise. Swap, which moves two events, is sampled without building the
+pair list and skips this per-event check. Every built move then goes
+through ``cannot_improve``, which screens it without touching the plan. It
+flags moves that would certainly fail (an existing fresh destination event,
+a period outside [arrival, horizon], bandwidth exceeded well beyond place's
+tolerance) and moves whose cost delta has a lower bound >= 0.0. The bound is
+the exact backlog, attendance and hire delta (penalty prefix sums, x_count
+and z_count transitions) minus the copy cost of every non-origin source
+window the move empties; target windows can only add copy cost, so the
+bound never exceeds the true delta. The per-event check adds the same terms
+in the same order, so it rejects exactly the moves that ``cannot_improve``
+would reject on range, fresh key or bound, and the search counts both as
+screened. Descent accepts only delta < -EPS, and the threshold is 0.0
+rather than -EPS so that rounding between the bound and the applied delta
+cannot reject a move the search would accept. Only the remaining moves are
+applied. ``apply_move`` records the prior value of every plan entry a move
+can touch and restores them exactly on failure or revert, so a rejected
+move leaves no trace and screening changes no search outcome.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .model import (
@@ -620,121 +630,273 @@ def _restore(plan, snap, entries) -> None:
 
 
 # -- candidate generation ----------------------------------------------------
+#
+# The builders are generators over the plan as it is when their first
+# candidate is taken; the search either rejects a candidate, which leaves
+# the plan exactly as it was, or accepts it and stops taking candidates.
 
 
-def _event_keys(plan: OperationalPlan) -> list[tuple[int, int, int]]:
-    return sorted(plan.events)
+class _Source:
+    """Screen terms of moving ``slices`` off event ``key`` that hold for
+    every target: attendance that ends, and the hire and copy refunds.
 
+    Shift, split, merge and d-delay each move slices of one source event to
+    one target (server, period). ``rejects`` adds each target's terms in the
+    order ``cannot_improve`` adds them, so it returns True exactly when
+    ``cannot_improve`` would reject the move for its range, fresh key or
+    cost bound, at the cost of a few lookups and without building the move.
+    """
 
-def _event_requests(plan: OperationalPlan, key) -> list[int]:
-    return sorted({req for (req, _o) in plan.events[key]})
+    __slots__ = ("key", "slices", "reqs", "hire_refund", "copy_refund")
 
-
-def _move_event(plan, key, dest_j, dest_t) -> list[tuple]:
-    return [((req, o), (dest_j, dest_t)) for (req, o) in sorted(plan.events[key])]
-
-
-def shift_candidates(plan: OperationalPlan) -> list[Move]:
-    out = []
-    server_ids = sorted(plan.inst.server_by_id)
-    for key in _event_keys(plan):
+    def __init__(self, plan: OperationalPlan, key, slices: list[tuple[int, int]]) -> None:
+        inst = plan.inst
         k, j, t = key
+        n = len(slices)
+        self.key = key
+        self.slices = slices
+        per_req: dict[int, int] = {}
+        for req, _o in slices:
+            per_req[req] = per_req.get(req, 0) + 1
+        # (request, whether its attendance at (j, t) ends, attendance cost)
+        self.reqs = [
+            (req, plan.x_count[(req, j, t)] == count, inst.request_by_id[req].attend_cost)
+            for req, count in per_req.items()
+        ]
+        srv = inst.server_by_id[j]
+        self.hire_refund = 0.0
+        if srv.kind == HIRABLE and plan.z_count[(j, plan.slot[t])] == n:
+            self.hire_refund = srv.cost / plan.m
+        self.copy_refund = 0.0
+        for w in plan.windows[(k, j)]:
+            if w.arrive <= t < w.end:
+                if not w.origin and sum(w.uses.values()) == n:
+                    self.copy_refund = inst.content_by_id[k].copy_cost
+                break
+
+    def rejects(self, plan: OperationalPlan, j2: int, t2: int, fresh: bool) -> bool:
+        k, j, t = self.key
+        if fresh and (k, j2, t2) in plan.events:
+            return True
+        bound = 0.0
+        if t2 != t:  # only d-delay changes the period, and with it the backlog
+            if t2 > plan.inst.horizon:
+                return True
+            requests = plan.inst.request_by_id
+            for req, o in self.slices:
+                if o > t2:
+                    return True
+                pen = plan._pen[req]
+                bound += (pen[t2] - pen[t]) * requests[req].demand[o]
+        x_count = plan.x_count
+        for req, ends, attend in self.reqs:
+            if ends:
+                bound -= attend
+            if not x_count.get((req, j2, t2)):
+                bound += attend
+        slot = plan.slot
+        if j2 != j or slot[t2] != slot[t]:  # else the hire count does not change
+            bound -= self.hire_refund
+            srv = plan.inst.server_by_id[j2]
+            if srv.kind == HIRABLE and not plan.z_count.get((j2, slot[t2])):
+                bound += srv.cost / plan.m
+        return bound - self.copy_refund >= 0.0
+
+
+def _relocate(kind: str, key, slices, j2: int, t2: int) -> Move:
+    """Move ``slices`` of event ``key`` to (j2, t2); only a merge may land
+    on an existing event."""
+    fresh = () if kind == "merge" else ((key[0], j2, t2),)
+    return Move(kind, tuple((sl, (j2, t2)) for sl in slices), fresh_keys=fresh)
+
+
+def _screened(plan: OperationalPlan, kind: str, targets):
+    """Each candidate's move, or None where its source's terms reject it."""
+    fresh = kind != "merge"
+    for src, j2, t2 in targets:
+        if src.rejects(plan, j2, t2, fresh):
+            yield None
+        else:
+            yield _relocate(kind, src.key, src.slices, j2, t2)
+
+
+def _shift_targets(plan: OperationalPlan):
+    server_ids = sorted(plan.inst.server_by_id)
+    for key in sorted(plan.events):
+        src = _Source(plan, key, sorted(plan.events[key]))
         for j2 in server_ids:
-            if j2 == j:
-                continue
-            out.append(
-                Move(
-                    "shift",
-                    tuple(_move_event(plan, key, j2, t)),
-                    fresh_keys=((k, j2, t),),
-                )
-            )
-    return out
+            if j2 != key[1]:
+                yield src, j2, key[2]
 
 
-def swap_candidates(plan: OperationalPlan, rng: random.Random, fraction: float) -> list[Move]:
-    keys = _event_keys(plan)
-    pairs = [
-        (a, b)
-        for i, a in enumerate(keys)
-        for b in keys[i + 1 :]
-        if a[1] != b[1]  # different servers
-    ]
-    if not pairs:
-        return []
-    count = max(1, math.ceil(fraction * len(pairs)))
-    sampled = rng.sample(pairs, min(count, len(pairs)))
-    out = []
-    for a, b in sorted(sampled):
-        ka, ja, ta = a
-        kb, jb, tb = b
-        reloc = tuple(
-            _move_event(plan, a, jb, ta) + _move_event(plan, b, ja, tb)
-        )
-        out.append(Move("swap", reloc, fresh_keys=((ka, jb, ta), (kb, ja, tb))))
-    return out
-
-
-def split_candidates(plan: OperationalPlan) -> list[Move]:
-    out = []
+def _split_targets(plan: OperationalPlan):
     server_ids = sorted(plan.inst.server_by_id)
-    for key in _event_keys(plan):
-        k, j, t = key
-        reqs = _event_requests(plan, key)
+    for key in sorted(plan.events):
+        slices = sorted(plan.events[key])
+        reqs = sorted({req for req, _o in slices})
         if len(reqs) < 2:
             continue
         for req in reqs:
-            slices = sorted(sl for sl in plan.events[key] if sl[0] == req)
+            src = _Source(plan, key, [sl for sl in slices if sl[0] == req])
             for j2 in server_ids:
-                if j2 == j:
-                    continue
-                out.append(
-                    Move(
-                        "split",
-                        tuple((sl, (j2, t)) for sl in slices),
-                        fresh_keys=((k, j2, t),),
-                    )
-                )
-    return out
+                if j2 != key[1]:
+                    yield src, j2, key[2]
 
 
-def merge_candidates(plan: OperationalPlan) -> list[Move]:
-    out = []
-    keys = _event_keys(plan)
+def _merge_groups(keys) -> list[list[tuple[int, int, int]]]:
+    """Events grouped by (content, period), in key order."""
     by_kt: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for key in keys:
         by_kt.setdefault((key[0], key[2]), []).append(key)
-    for (_k, _t), group in sorted(by_kt.items()):
-        for i, a in enumerate(group):
-            for b in group[i + 1 :]:
-                out.append(Move("merge", tuple(_move_event(plan, b, a[1], a[2]))))
-                out.append(Move("merge", tuple(_move_event(plan, a, b[1], b[2]))))
-    return out
+    return [group for _kt, group in sorted(by_kt.items())]
 
 
-def delay_candidates(plan: OperationalPlan, d: int) -> list[Move]:
-    out = []
+def _merge_targets(plan: OperationalPlan):
+    for group in _merge_groups(sorted(plan.events)):
+        if len(group) < 2:
+            continue
+        srcs = [_Source(plan, key, sorted(plan.events[key])) for key in group]
+        for i, a in enumerate(srcs):
+            for b in srcs[i + 1 :]:
+                yield b, a.key[1], a.key[2]
+                yield a, b.key[1], b.key[2]
+
+
+def _delay_targets(plan: OperationalPlan, d: int):
     tf = plan.inst.horizon
-    for key in _event_keys(plan):
+    for key in sorted(plan.events):
         k, j, t = key
-        for dd in (d, -d):
-            t2 = t + dd
-            if not 1 <= t2 <= tf:
-                continue
-            out.append(
-                Move(
-                    "ddelay",
-                    tuple(_move_event(plan, key, j, t2)),
-                    fresh_keys=((k, j, t2),),
-                )
-            )
+        periods = [t2 for t2 in (t + d, t - d) if 1 <= t2 <= tf]
+        if periods:
+            src = _Source(plan, key, sorted(plan.events[key]))
+            for t2 in periods:
+                yield src, j, t2
+
+
+def shift_candidates(plan: OperationalPlan):
+    """Every event to every other server: a Move, or None if screened out."""
+    return _screened(plan, "shift", _shift_targets(plan))
+
+
+def split_candidates(plan: OperationalPlan):
+    """One request's slices of a shared event to every other server."""
+    return _screened(plan, "split", _split_targets(plan))
+
+
+def merge_candidates(plan: OperationalPlan):
+    """Each event onto each other event of its (content, period)."""
+    return _screened(plan, "merge", _merge_targets(plan))
+
+
+def delay_candidates(plan: OperationalPlan, d: int):
+    """Each event d periods later and d periods earlier."""
+    return _screened(plan, "ddelay", _delay_targets(plan, d))
+
+
+def _swap_pairs(keys, rng: random.Random, fraction: float) -> list[tuple]:
+    """The swap sample: sorted pairs (a, b) of events on different servers,
+    a before b in ``keys``.
+
+    Of the P such pairs, in the order (a, b), it draws
+    ``rng.sample(range(P), n)``: the same indices, leaving ``rng`` in the
+    same state, as sampling the explicit pair list. Each index is decoded
+    from per-row prefix counts, so the list is never built.
+    """
+    at: dict[int, list[int]] = {}  # server -> positions of its events in keys
+    for i, key in enumerate(keys):
+        at.setdefault(key[1], []).append(i)
+    # starts[i]: index of the first pair whose a is keys[i].
+    starts = [0]
+    last = len(keys) - 1
+    for i, key in enumerate(keys):
+        same = at[key[1]]
+        starts.append(starts[-1] + last - i - (len(same) - bisect_right(same, i)))
+    total = starts[-1]
+    if not total:
+        return []
+    count = min(max(1, math.ceil(fraction * total)), total)
+    out = []
+    row = 0
+    for idx in sorted(rng.sample(range(total), count)):
+        while starts[row + 1] <= idx:
+            row += 1
+        # The (idx - starts[row])-th event after keys[row] on another
+        # server: step over the same-server events up to it.
+        same = at[keys[row][1]]
+        col = row + 1 + idx - starts[row]
+        s = bisect_right(same, row)
+        while s < len(same) and same[s] <= col:
+            col += 1
+            s += 1
+        out.append((keys[row], keys[col]))
     return out
 
 
-def inverse_move(plan_before: dict, move: Move) -> Move:
-    """Inverse relocations, from the recorded pre-move placements."""
-    inv = tuple((sl, plan_before[sl]) for (sl, _t) in move.relocations)
-    return Move(kind=move.kind, relocations=inv)
+def _swap_move(plan: OperationalPlan, a, b) -> Move:
+    ka, ja, ta = a
+    kb, jb, tb = b
+    events = plan.events
+    reloc = [(sl, (jb, ta)) for sl in sorted(events[a])]
+    reloc += [(sl, (ja, tb)) for sl in sorted(events[b])]
+    return Move("swap", tuple(reloc), fresh_keys=((ka, jb, ta), (kb, ja, tb)))
+
+
+def swap_candidates(plan: OperationalPlan, rng: random.Random, fraction: float):
+    """Exchange the servers of sampled event pairs. The sample is drawn
+    from ``rng`` on the call, so it never moves within the rng stream."""
+    pairs = _swap_pairs(sorted(plan.events), rng, fraction)
+    return (_swap_move(plan, a, b) for a, b in pairs)
+
+
+def _draw_move(
+    plan: OperationalPlan, name: str, rng: random.Random, fraction: float
+) -> Move | None:
+    """One uniform candidate of a perturbation neighbourhood, or None when
+    it has none.
+
+    Draws from ``rng`` exactly as ``moves[rng.randrange(len(moves))]`` over
+    the builder's full list would, but counts the candidates in closed form
+    and builds only the drawn one.
+    """
+    events = plan.events
+    keys = sorted(events)
+    if name == "swap":
+        pairs = _swap_pairs(keys, rng, fraction)
+        return _swap_move(plan, *pairs[rng.randrange(len(pairs))]) if pairs else None
+    if name == "merge":
+        groups = _merge_groups(keys)
+        count = sum(len(g) * (len(g) - 1) for g in groups)
+        if not count:
+            return None
+        i = rng.randrange(count)
+        for group in groups:
+            if i < len(group) * (len(group) - 1):
+                break
+            i -= len(group) * (len(group) - 1)
+        # In ``_merge_targets`` order: b onto a, then a onto b.
+        src, dst = [
+            move for x, a in enumerate(group) for b in group[x + 1 :] for move in ((b, a), (a, b))
+        ][i]
+        return _relocate("merge", src, sorted(events[src]), dst[1], dst[2])
+    # shift: every event; split: every request of an event with two or more.
+    if name == "shift":
+        sources = [(key, None) for key in keys]
+    else:
+        sources = []
+        for key in keys:
+            reqs = sorted({req for req, _o in events[key]})
+            if len(reqs) >= 2:
+                sources += [(key, req) for req in reqs]
+    server_ids = sorted(plan.inst.server_by_id)
+    others = len(server_ids) - 1
+    count = len(sources) * others
+    if not count:
+        return None
+    s, jx = divmod(rng.randrange(count), others)
+    key, req = sources[s]
+    j2 = [j for j in server_ids if j != key[1]][jx]
+    slices = sorted(sl for sl in events[key] if req in (None, sl[0]))
+    return _relocate(name, key, slices, j2, key[2])
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +950,7 @@ class SearchStats:
     rvnd_passes: int = 0
     moves_tried: int = 0
     moves_accepted: int = 0
-    moves_screened: int = 0  # rejected by cannot_improve without applying
+    moves_screened: int = 0  # rejected by the screen without applying
     moves_failed: int = 0  # applied and rolled back by apply_move
     perturbations: int = 0
     restarts: int = 0
@@ -823,7 +985,7 @@ def rvnd(
         improved = False
         for move in candidates:
             stats.moves_tried += 1
-            if cannot_improve(plan, move):
+            if move is None or cannot_improve(plan, move):
                 stats.moves_screened += 1
                 continue
             applied = apply_move(plan, move)
@@ -856,18 +1018,8 @@ def perturb(
     while applied < level + 1 and attempts < 40 * (level + 1):
         attempts += 1
         name = kinds[rng.randrange(len(kinds))]
-        if name == "shift":
-            candidates = shift_candidates(plan)
-        elif name == "swap":
-            candidates = swap_candidates(plan, rng, params.swap_sample_fraction)
-        elif name == "split":
-            candidates = split_candidates(plan)
-        else:
-            candidates = merge_candidates(plan)
-        if not candidates:
-            continue
-        move = candidates[rng.randrange(len(candidates))]
-        if apply_move(plan, move) is not None:
+        move = _draw_move(plan, name, rng, params.swap_sample_fraction)
+        if move is not None and apply_move(plan, move) is not None:
             applied += 1
             if stats is not None:
                 stats.perturbations += 1

@@ -118,6 +118,12 @@ class ScenarioConfig:
             raise ScenarioInvalid("client bandwidth must be positive")
         if self.detector_w < 1:
             raise ScenarioInvalid("detector window must be >= 1")
+        if not 0.0 < self.as_threshold < 1.0:
+            raise ScenarioInvalid("autoscaling threshold must be in (0, 1)")
+        if not 0 <= self.as_min <= self.as_max:
+            raise ScenarioInvalid("autoscaling bounds need 0 <= min <= max")
+        if self.as_cooldown < 0:
+            raise ScenarioInvalid("autoscaling cooldown must be >= 0")
 
     def size_of(self, content: int) -> float:
         return self.sizes.get(content, self.default_size)

@@ -1,18 +1,20 @@
+import math
 import random
 
 import pytest
 
+from flashcrowd import ils
 from flashcrowd.lpio import solve_exact
 from flashcrowd.ils import (
     EPS,
     IlsParams,
+    Move,
     OperationalPlan,
     SearchStats,
     apply_move,
     cannot_improve,
     constructive_phase,
     delay_candidates,
-    inverse_move,
     merge_candidates,
     perturb,
     revert_move,
@@ -34,6 +36,53 @@ from flashcrowd.model import (
 )
 
 from util_instances import random_midsize_instance, random_tiny_instance, tiny_instance_o1
+
+BUILDERS = {
+    "shift": shift_candidates,
+    "split": split_candidates,
+    "merge": merge_candidates,
+    "ddelay": delay_candidates,
+}
+TARGETS = {
+    "shift": ils._shift_targets,
+    "split": ils._split_targets,
+    "merge": ils._merge_targets,
+    "ddelay": ils._delay_targets,
+}
+
+
+def screened(plan, kind, d=1):
+    """(move, rejected by its source's terms) for every candidate of a
+    one-source neighbourhood, in search order. The builders yield None in
+    place of a rejected move, so tests that need every move build them here."""
+    args = (plan, d) if kind == "ddelay" else (plan,)
+    fresh = kind != "merge"
+    return [
+        (ils._relocate(kind, src.key, src.slices, j2, t2), src.rejects(plan, j2, t2, fresh))
+        for src, j2, t2 in TARGETS[kind](*args)
+    ]
+
+
+def every_move(plan, kind, d=1):
+    return [move for move, _rejected in screened(plan, kind, d)]
+
+
+def pools(plan, rng):
+    """Every candidate of each neighbourhood, screened or not, built from
+    the plan as it is now; swaps as sampled from rng."""
+    return [
+        every_move(plan, "shift"),
+        list(swap_candidates(plan, rng, 0.05)),
+        every_move(plan, "split"),
+        every_move(plan, "merge"),
+        every_move(plan, "ddelay", 1),
+    ]
+
+
+def inverse_move(plan_before: dict, move: Move) -> Move:
+    """Inverse relocations, from the recorded pre-move placements."""
+    inv = tuple((sl, plan_before[sl]) for (sl, _t) in move.relocations)
+    return Move(kind=move.kind, relocations=inv)
 
 
 def owned_ample_instance():
@@ -143,7 +192,7 @@ class TestRvnd:
         merges = [
             mv
             for mv in merge_candidates(plan)
-            if all(dest[0] == 1 for _sl, dest in mv.relocations)
+            if mv is not None and all(dest[0] == 1 for _sl, dest in mv.relocations)
         ]
         assert merges
         applied = apply_move(plan, merges[0])
@@ -182,15 +231,7 @@ class TestMoves:
 
     def test_move_then_inverse_restores_everything(self):
         for plan in self.plans():
-            rng = random.Random(4)
-            pools = [
-                shift_candidates(plan),
-                swap_candidates(plan, rng, 0.05),
-                split_candidates(plan),
-                merge_candidates(plan),
-                delay_candidates(plan, 1),
-            ]
-            for pool in pools:
+            for pool in pools(plan, random.Random(4)):
                 tried = 0
                 for move in pool:
                     if tried >= 4:
@@ -211,15 +252,7 @@ class TestMoves:
         reverted = failed = 0
         for plan in self.plans(n=6, seed=8):
             before = plan_state(plan)
-            rng = random.Random(5)
-            pools = [
-                shift_candidates(plan),
-                swap_candidates(plan, rng, 0.05),
-                split_candidates(plan),
-                merge_candidates(plan),
-                delay_candidates(plan, 1),
-            ]
-            for pool in pools:
+            for pool in pools(plan, random.Random(5)):
                 for move in pool[:40]:
                     applied = apply_move(plan, move)
                     if applied is None:
@@ -236,15 +269,9 @@ class TestMoves:
         plan_pool = self.plans(n=5, seed=13)
         for plan in plan_pool:
             inst = plan.inst
-            pools = (
-                shift_candidates(plan)
-                + swap_candidates(plan, rng, 0.05)
-                + split_candidates(plan)
-                + merge_candidates(plan)
-                + delay_candidates(plan, 1)
-            )
-            rng.shuffle(pools)
-            for move in pools[:30]:
+            moves = sum(pools(plan, rng), [])
+            rng.shuffle(moves)
+            for move in moves[:30]:
                 applied = apply_move(plan, move)
                 if applied is None:
                     continue
@@ -258,19 +285,9 @@ class TestMoves:
 
 
 class TestScreen:
-    def all_candidates(self, plan, rng):
-        return (
-            shift_candidates(plan)
-            + swap_candidates(plan, rng, 0.05)
-            + split_candidates(plan)
-            + merge_candidates(plan)
-            + delay_candidates(plan, 1)
-            + delay_candidates(plan, 2)
-        )
-
-    def test_screened_moves_never_improve(self):
+    def staged_plans(self):
+        """Constructed plans, each also after perturbation and delays."""
         rng = random.Random(23)
-        screened = passed = 0
         for _ in range(6):
             inst = random_midsize_instance(rng)
             plan = constructive_phase(inst, random.Random(rng.randrange(10**6)))
@@ -279,18 +296,48 @@ class TestScreen:
                     # Construction serves every slice as early as it can;
                     # pushing events later makes earlier shifts improving.
                     perturb(plan, 2, random.Random(stage), IlsParams())
-                    for move in delay_candidates(plan, 1)[::2]:
+                    for move in every_move(plan, "ddelay", 1)[::2]:
                         apply_move(plan, move)
-                before = plan_state(plan)
-                for move in self.all_candidates(plan, random.Random(stage)):
-                    if not cannot_improve(plan, move):
-                        passed += 1
+                yield stage, plan
+
+    def test_screened_moves_never_improve(self):
+        screened_out = passed = 0
+        for stage, plan in self.staged_plans():
+            before = plan_state(plan)
+            moves = sum(pools(plan, random.Random(stage)), []) + every_move(plan, "ddelay", 2)
+            for move in moves:
+                if not cannot_improve(plan, move):
+                    passed += 1
+                    continue
+                screened_out += 1
+                applied = apply_move(plan.clone(), move)
+                assert applied is None or applied.delta >= -EPS, move
+            assert plan_state(plan) == before
+        assert screened_out >= 1000 and passed >= 50
+
+    def test_event_screen_is_sound(self):
+        # The builders drop what their sources' terms reject before
+        # cannot_improve sees it; rvnd counts those drops as screened, so
+        # each must be a move cannot_improve rejects and that cannot improve.
+        rejected = kept = 0
+        for _stage, plan in self.staged_plans():
+            before = plan_state(plan)
+            for kind, d in (("shift", 1), ("split", 1), ("merge", 1), ("ddelay", 1), ("ddelay", 2)):
+                cases = screened(plan, kind, d)
+                args = (plan, d) if kind == "ddelay" else (plan,)
+                assert list(BUILDERS[kind](*args)) == [None if r else mv for mv, r in cases]
+                for move, rejects in cases:
+                    if not rejects:
+                        kept += 1
                         continue
-                    screened += 1
-                    applied = apply_move(plan.clone(), move)
-                    assert applied is None or applied.delta >= -EPS, move
-                assert plan_state(plan) == before
-        assert screened >= 1000 and passed >= 50
+                    rejected += 1
+                    assert cannot_improve(plan, move), move
+                    applied = apply_move(plan, move)
+                    if applied is not None:
+                        assert applied.delta >= -EPS, move
+                        revert_move(plan, applied)
+                    assert plan_state(plan) == before
+        assert rejected >= 1000 and kept >= 50
 
     def test_rvnd_counts_every_outcome(self):
         inst = random_midsize_instance(random.Random(3))
@@ -300,7 +347,62 @@ class TestScreen:
         assert stats.moves_screened + stats.moves_failed + stats.moves_accepted <= stats.moves_tried
 
 
+class TestSwapSample:
+    @staticmethod
+    def pair_list(keys):
+        return [(a, b) for i, a in enumerate(keys) for b in keys[i + 1 :] if a[1] != b[1]]
+
+    @staticmethod
+    def key_sets():
+        rng = random.Random(12)
+        sets = [
+            [],
+            [(0, 3, t) for t in range(1, 6)],  # one server: no pair
+            [(0, 1, 1), (0, 1, 2)],
+            [(0, 1, 1), (1, 2, 1)],
+        ]
+        for _ in range(30):
+            servers = rng.randint(1, 5)
+            sets.append(sorted({
+                (rng.randrange(6), rng.randrange(servers), rng.randint(1, 8))
+                for _ in range(rng.randint(1, 60))
+            }))
+        return sets
+
+    def test_decoded_pairs_match_the_pair_list(self):
+        for keys in self.key_sets():
+            pairs = self.pair_list(keys)
+            assert ils._swap_pairs(keys, random.Random(0), 1.0) == pairs
+            for seed, fraction in ((1, 0.05), (2, 0.3), (3, 0.9)):
+                ours, listed = random.Random(seed), random.Random(seed)
+                want = []
+                if pairs:
+                    count = min(max(1, math.ceil(fraction * len(pairs))), len(pairs))
+                    want = sorted(listed.sample(pairs, count))
+                assert ils._swap_pairs(keys, ours, fraction) == want
+                assert ours.getstate() == listed.getstate()
+
+
 class TestPerturb:
+    def test_drawn_move_matches_a_draw_from_the_full_list(self):
+        rng = random.Random(29)
+        drawn = 0
+        for _ in range(8):
+            inst = random_midsize_instance(rng)
+            plan = constructive_phase(inst, random.Random(rng.randrange(10**6)))
+            for name in ("shift", "swap", "split", "merge"):
+                for seed in range(5):
+                    ours, listed = random.Random(seed), random.Random(seed)
+                    if name == "swap":
+                        moves = list(swap_candidates(plan, listed, 0.05))
+                    else:
+                        moves = every_move(plan, name)
+                    want = moves[listed.randrange(len(moves))] if moves else None
+                    assert ils._draw_move(plan, name, ours, 0.05) == want
+                    assert ours.getstate() == listed.getstate()
+                    drawn += want is not None
+        assert drawn >= 100
+
     def test_level_zero_applies_one_move(self):
         inst = tiny_instance_o1()
         plan = constructive_phase(inst, random.Random(2))

@@ -125,14 +125,22 @@ def test_infeasible_replans_keep_the_current_fleet(monkeypatch, scenarios):
         ("provisioning_delay", "-1"),
         ("client_bandwidth", "0"),
         ("w", "0"),
+        ("autoscaling.threshold", "0"),
+        ("autoscaling.threshold", "1"),
+        ("autoscaling.max", "0"),
+        ("autoscaling.min", "-1"),
+        ("autoscaling.cooldown", "-1"),
     ],
 )
 def test_bad_scenario_values_rejected_at_load(tmp_path, key, value):
-    # Each of these once failed a replay midway instead of at load; a client
-    # bandwidth of 0 made the demand schedule grow until memory ran out.
+    # Each of these once failed a replay midway, or ran on silently, instead
+    # of failing at load; a client bandwidth of 0 made the demand schedule
+    # grow until memory ran out. "section.key" edits the key in that section.
     path = scenario1_ini(tmp_path)
     lines = path.read_text().splitlines()
-    at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+    section, _, key = key.rpartition(".")
+    start = lines.index(f"[{section}]") if section else 0
+    at = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} = "))
     lines[at] = f"{key} = {value}"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ScenarioInvalid):
