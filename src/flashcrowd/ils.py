@@ -569,9 +569,17 @@ def cannot_improve(plan: OperationalPlan, move: Move) -> bool:
     for w, (removed, copy_cost) in emptied.items():
         if removed == sum(w.uses.values()):
             bound -= copy_cost
-    if bound >= 0.0:
-        return True
-    # Bandwidth after the sources are freed and every target is added.
+    return bound >= 0.0 or _exceeds_bandwidth(plan, move)
+
+
+def _exceeds_bandwidth(plan: OperationalPlan, move: Move) -> bool:
+    """True when, once its sources are freed, the move's targets would
+    exceed a server or client bandwidth by clearly more than place's 1e-9
+    tolerance."""
+    inst = plan.inst
+    requests = inst.request_by_id
+    servers = inst.server_by_id
+    placements = plan.placements
     load: dict[tuple[int, int], float] = {}
     client: dict[tuple[int, int], float] = {}
     for sl, (j2, t2) in move.relocations:

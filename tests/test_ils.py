@@ -317,8 +317,10 @@ class TestScreen:
 
     def test_event_screen_is_sound(self):
         # The builders drop what their sources' terms reject before
-        # cannot_improve sees it; rvnd counts those drops as screened, so
-        # each must be a move cannot_improve rejects and that cannot improve.
+        # cannot_improve sees it; rvnd counts those drops as screened. The
+        # terms decide range, fresh key and bound, so together with the
+        # bandwidth check they must reject exactly what cannot_improve
+        # rejects, and a dropped move must not be able to improve.
         rejected = kept = 0
         for _stage, plan in self.staged_plans():
             before = plan_state(plan)
@@ -327,11 +329,13 @@ class TestScreen:
                 args = (plan, d) if kind == "ddelay" else (plan,)
                 assert list(BUILDERS[kind](*args)) == [None if r else mv for mv, r in cases]
                 for move, rejects in cases:
+                    assert (rejects or ils._exceeds_bandwidth(plan, move)) == cannot_improve(
+                        plan, move
+                    ), move
                     if not rejects:
                         kept += 1
                         continue
                     rejected += 1
-                    assert cannot_improve(plan, move), move
                     applied = apply_move(plan, move)
                     if applied is not None:
                         assert applied.delta >= -EPS, move
