@@ -14,29 +14,31 @@ ordering; a failed neighborhood leaves the candidate set until some move
 improves. Perturbation applies level + 1 random feasible moves from
 {Shift, Swap, Split, Merge}.
 
-How a candidate is judged: shift, split, merge and d-delay each move slices
-of one source event to one target (server, period). Their builders compute
-the screen terms that do not depend on the target once per source, check
-each target against them (range, fresh key, and the cost bound below) and
-build a move only when it survives; they yield None in its place
-otherwise. Swap, which moves two events, is sampled without building the
-pair list and skips this per-event check. Every built move then goes
-through ``cannot_improve``, which screens it without touching the plan. It
-flags moves that would certainly fail (an existing fresh destination event,
-a period outside [arrival, horizon], bandwidth exceeded well beyond place's
-tolerance) and moves whose cost delta has a lower bound >= 0.0. The bound is
-the exact backlog, attendance and hire delta (penalty prefix sums, x_count
-and z_count transitions) minus the copy cost of every non-origin source
-window the move empties; target windows can only add copy cost, so the
-bound never exceeds the true delta. The per-event check adds the same terms
-in the same order, so it rejects exactly the moves that ``cannot_improve``
-would reject on range, fresh key or bound, and the search counts both as
-screened. Descent accepts only delta < -EPS, and the threshold is 0.0
-rather than -EPS so that rounding between the bound and the applied delta
-cannot reject a move the search would accept. Only the remaining moves are
-applied. ``apply_move`` records the prior value of every plan entry a move
-can touch and restores them exactly on failure or revert, so a rejected
-move leaves no trace and screening changes no search outcome.
+How a candidate is judged: each neighborhood has one candidate list in
+search order (``candidates``); descent screens it entry by entry, and
+perturbation draws one entry and builds only that move. Shift, split, merge
+and d-delay each move slices of one source event to one target (server,
+period). The screen terms that do not depend on the target are read once per
+source, and each target is checked against them for range, fresh key and the
+cost bound below, adding the terms in ``cannot_improve``'s order, so the
+check rejects exactly what ``cannot_improve`` would reject on those grounds.
+A move is built only for a surviving target, and then only its bandwidth is
+checked. Swap, which moves two events, is sampled without building the pair
+list, and each sampled swap goes whole through ``cannot_improve``, which
+screens a move without touching the plan. It flags moves that would
+certainly fail (an existing fresh destination event, a period outside
+[arrival, horizon], bandwidth exceeded well beyond place's tolerance) and
+moves whose cost delta has a lower bound >= 0.0. The bound is the exact
+backlog, attendance and hire delta (penalty prefix sums, x_count and z_count
+transitions) minus the copy cost of every non-origin source window the move
+empties; target windows can only add copy cost, so the bound never exceeds
+the true delta. The search counts every rejection as screened. Descent
+accepts only delta < -EPS, and the threshold is 0.0 rather than -EPS so that
+rounding between the bound and the applied delta cannot reject a move the
+search would accept. Only the remaining moves are applied. ``apply_move``
+records the prior value of every plan entry a move can touch and restores
+them exactly on failure or revert, so a rejected move leaves no trace and
+screening changes no search outcome.
 """
 
 from __future__ import annotations
@@ -639,32 +641,36 @@ def _restore(plan, snap, entries) -> None:
 
 # -- candidate generation ----------------------------------------------------
 #
-# The builders are generators over the plan as it is when their first
-# candidate is taken; the search either rejects a candidate, which leaves
-# the plan exactly as it was, or accepts it and stops taking candidates.
+# The one-source candidate lists are generators over the plan as it is when
+# their first candidate is taken; the search either rejects a candidate, which
+# leaves the plan exactly as it was, or accepts it and stops taking candidates.
 
 
 class _Source:
-    """Screen terms of moving ``slices`` off event ``key`` that hold for
-    every target: attendance that ends, and the hire and copy refunds.
+    """Slices of one source event ``key`` that move to one target, and the
+    screen terms of moving them that hold for every target: attendance that
+    ends, and the hire and copy refunds. The terms are read on the first
+    ``rejects``, so listing candidates for a perturbation draw reads none.
 
-    Shift, split, merge and d-delay each move slices of one source event to
-    one target (server, period). ``rejects`` adds each target's terms in the
-    order ``cannot_improve`` adds them, so it returns True exactly when
-    ``cannot_improve`` would reject the move for its range, fresh key or
-    cost bound, at the cost of a few lookups and without building the move.
+    ``rejects`` adds each target's terms in the order ``cannot_improve``
+    adds them, so it returns True exactly when ``cannot_improve`` would
+    reject the move for its range, fresh key or cost bound, at the cost of a
+    few lookups and without building the move.
     """
 
     __slots__ = ("key", "slices", "reqs", "hire_refund", "copy_refund")
 
-    def __init__(self, plan: OperationalPlan, key, slices: list[tuple[int, int]]) -> None:
-        inst = plan.inst
-        k, j, t = key
-        n = len(slices)
+    def __init__(self, key, slices: list[tuple[int, int]]) -> None:
         self.key = key
         self.slices = slices
+        self.reqs = None
+
+    def _read_terms(self, plan: OperationalPlan) -> None:
+        inst = plan.inst
+        k, j, t = self.key
+        n = len(self.slices)
         per_req: dict[int, int] = {}
-        for req, _o in slices:
+        for req, _o in self.slices:
             per_req[req] = per_req.get(req, 0) + 1
         # (request, whether its attendance at (j, t) ends, attendance cost)
         self.reqs = [
@@ -686,6 +692,8 @@ class _Source:
         k, j, t = self.key
         if fresh and (k, j2, t2) in plan.events:
             return True
+        if self.reqs is None:
+            self._read_terms(plan)
         bound = 0.0
         if t2 != t:  # only d-delay changes the period, and with it the backlog
             if t2 > plan.inst.horizon:
@@ -711,33 +719,18 @@ class _Source:
         return bound - self.copy_refund >= 0.0
 
 
-def _relocate(kind: str, key, slices, j2: int, t2: int) -> Move:
-    """Move ``slices`` of event ``key`` to (j2, t2); only a merge may land
-    on an existing event."""
-    fresh = () if kind == "merge" else ((key[0], j2, t2),)
-    return Move(kind, tuple((sl, (j2, t2)) for sl in slices), fresh_keys=fresh)
-
-
-def _screened(plan: OperationalPlan, kind: str, targets):
-    """Each candidate's move, or None where its source's terms reject it."""
-    fresh = kind != "merge"
-    for src, j2, t2 in targets:
-        if src.rejects(plan, j2, t2, fresh):
-            yield None
-        else:
-            yield _relocate(kind, src.key, src.slices, j2, t2)
-
-
 def _shift_targets(plan: OperationalPlan):
+    """Every event to every other server."""
     server_ids = sorted(plan.inst.server_by_id)
     for key in sorted(plan.events):
-        src = _Source(plan, key, sorted(plan.events[key]))
+        src = _Source(key, sorted(plan.events[key]))
         for j2 in server_ids:
             if j2 != key[1]:
                 yield src, j2, key[2]
 
 
 def _split_targets(plan: OperationalPlan):
+    """One request's slices of a shared event to every other server."""
     server_ids = sorted(plan.inst.server_by_id)
     for key in sorted(plan.events):
         slices = sorted(plan.events[key])
@@ -745,25 +738,21 @@ def _split_targets(plan: OperationalPlan):
         if len(reqs) < 2:
             continue
         for req in reqs:
-            src = _Source(plan, key, [sl for sl in slices if sl[0] == req])
+            src = _Source(key, [sl for sl in slices if sl[0] == req])
             for j2 in server_ids:
                 if j2 != key[1]:
                     yield src, j2, key[2]
 
 
-def _merge_groups(keys) -> list[list[tuple[int, int, int]]]:
-    """Events grouped by (content, period), in key order."""
-    by_kt: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for key in keys:
-        by_kt.setdefault((key[0], key[2]), []).append(key)
-    return [group for _kt, group in sorted(by_kt.items())]
-
-
 def _merge_targets(plan: OperationalPlan):
-    for group in _merge_groups(sorted(plan.events)):
+    """Each event onto each other event of its (content, period)."""
+    groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for key in sorted(plan.events):
+        groups.setdefault((key[0], key[2]), []).append(key)
+    for _kt, group in sorted(groups.items()):
         if len(group) < 2:
             continue
-        srcs = [_Source(plan, key, sorted(plan.events[key])) for key in group]
+        srcs = [_Source(key, sorted(plan.events[key])) for key in group]
         for i, a in enumerate(srcs):
             for b in srcs[i + 1 :]:
                 yield b, a.key[1], a.key[2]
@@ -771,34 +760,15 @@ def _merge_targets(plan: OperationalPlan):
 
 
 def _delay_targets(plan: OperationalPlan, d: int):
+    """Each event d periods later and d periods earlier."""
     tf = plan.inst.horizon
     for key in sorted(plan.events):
         k, j, t = key
         periods = [t2 for t2 in (t + d, t - d) if 1 <= t2 <= tf]
         if periods:
-            src = _Source(plan, key, sorted(plan.events[key]))
+            src = _Source(key, sorted(plan.events[key]))
             for t2 in periods:
                 yield src, j, t2
-
-
-def shift_candidates(plan: OperationalPlan):
-    """Every event to every other server: a Move, or None if screened out."""
-    return _screened(plan, "shift", _shift_targets(plan))
-
-
-def split_candidates(plan: OperationalPlan):
-    """One request's slices of a shared event to every other server."""
-    return _screened(plan, "split", _split_targets(plan))
-
-
-def merge_candidates(plan: OperationalPlan):
-    """Each event onto each other event of its (content, period)."""
-    return _screened(plan, "merge", _merge_targets(plan))
-
-
-def delay_candidates(plan: OperationalPlan, d: int):
-    """Each event d periods later and d periods earlier."""
-    return _screened(plan, "ddelay", _delay_targets(plan, d))
 
 
 def _swap_pairs(keys, rng: random.Random, fraction: float) -> list[tuple]:
@@ -840,71 +810,58 @@ def _swap_pairs(keys, rng: random.Random, fraction: float) -> list[tuple]:
     return out
 
 
-def _swap_move(plan: OperationalPlan, a, b) -> Move:
-    ka, ja, ta = a
-    kb, jb, tb = b
-    events = plan.events
-    reloc = [(sl, (jb, ta)) for sl in sorted(events[a])]
-    reloc += [(sl, (ja, tb)) for sl in sorted(events[b])]
+def candidates(plan: OperationalPlan, name: str, rng: random.Random, params: IlsParams):
+    """The candidate list of neighbourhood ``name``, in search order.
+
+    Shift, split, merge and d-delay give (source, j2, t2): a ``_Source``
+    whose slices move to server j2 at period t2. Swap gives its sample of
+    event pairs, drawn from ``rng`` on the call so that it never moves
+    within the rng stream.
+    """
+    if name == "swap":
+        return _swap_pairs(sorted(plan.events), rng, params.swap_sample_fraction)
+    if name == "shift":
+        return _shift_targets(plan)
+    if name == "split":
+        return _split_targets(plan)
+    if name == "merge":
+        return _merge_targets(plan)
+    return _delay_targets(plan, params.d)
+
+
+def _move(plan: OperationalPlan, name: str, candidate) -> Move:
+    """The move of one entry of ``candidates(plan, name, ...)``. A swap
+    exchanges the servers of its two events; of the others, only a merge
+    may land on an existing event."""
+    if name != "swap":
+        src, j2, t2 = candidate
+        fresh = () if name == "merge" else ((src.key[0], j2, t2),)
+        return Move(name, tuple((sl, (j2, t2)) for sl in src.slices), fresh_keys=fresh)
+    (ka, ja, ta), (kb, jb, tb) = a, b = candidate
+    reloc = [(sl, (jb, ta)) for sl in sorted(plan.events[a])]
+    reloc += [(sl, (ja, tb)) for sl in sorted(plan.events[b])]
     return Move("swap", tuple(reloc), fresh_keys=((ka, jb, ta), (kb, ja, tb)))
 
 
-def swap_candidates(plan: OperationalPlan, rng: random.Random, fraction: float):
-    """Exchange the servers of sampled event pairs. The sample is drawn
-    from ``rng`` on the call, so it never moves within the rng stream."""
-    pairs = _swap_pairs(sorted(plan.events), rng, fraction)
-    return (_swap_move(plan, a, b) for a, b in pairs)
+def _screened(plan: OperationalPlan, name: str, cands):
+    """Each candidate's move, or None where it cannot improve.
 
-
-def _draw_move(
-    plan: OperationalPlan, name: str, rng: random.Random, fraction: float
-) -> Move | None:
-    """One uniform candidate of a perturbation neighbourhood, or None when
-    it has none.
-
-    Draws from ``rng`` exactly as ``moves[rng.randrange(len(moves))]`` over
-    the builder's full list would, but counts the candidates in closed form
-    and builds only the drawn one.
+    A one-source candidate that its source's terms pass goes only through
+    the bandwidth half of ``cannot_improve``: the terms have already decided
+    its range, fresh key and bound as ``cannot_improve`` would.
     """
-    events = plan.events
-    keys = sorted(events)
     if name == "swap":
-        pairs = _swap_pairs(keys, rng, fraction)
-        return _swap_move(plan, *pairs[rng.randrange(len(pairs))]) if pairs else None
-    if name == "merge":
-        groups = _merge_groups(keys)
-        count = sum(len(g) * (len(g) - 1) for g in groups)
-        if not count:
-            return None
-        i = rng.randrange(count)
-        for group in groups:
-            if i < len(group) * (len(group) - 1):
-                break
-            i -= len(group) * (len(group) - 1)
-        # In ``_merge_targets`` order: b onto a, then a onto b.
-        src, dst = [
-            move for x, a in enumerate(group) for b in group[x + 1 :] for move in ((b, a), (a, b))
-        ][i]
-        return _relocate("merge", src, sorted(events[src]), dst[1], dst[2])
-    # shift: every event; split: every request of an event with two or more.
-    if name == "shift":
-        sources = [(key, None) for key in keys]
-    else:
-        sources = []
-        for key in keys:
-            reqs = sorted({req for req, _o in events[key]})
-            if len(reqs) >= 2:
-                sources += [(key, req) for req in reqs]
-    server_ids = sorted(plan.inst.server_by_id)
-    others = len(server_ids) - 1
-    count = len(sources) * others
-    if not count:
-        return None
-    s, jx = divmod(rng.randrange(count), others)
-    key, req = sources[s]
-    j2 = [j for j in server_ids if j != key[1]][jx]
-    slices = sorted(sl for sl in events[key] if req in (None, sl[0]))
-    return _relocate(name, key, slices, j2, key[2])
+        for pair in cands:
+            move = _move(plan, name, pair)
+            yield None if cannot_improve(plan, move) else move
+        return
+    fresh = name != "merge"
+    for src, j2, t2 in cands:
+        if src.rejects(plan, j2, t2, fresh):
+            yield None
+        else:
+            move = _move(plan, name, (src, j2, t2))
+            yield None if _exceeds_bandwidth(plan, move) else move
 
 
 # ---------------------------------------------------------------------------
@@ -979,21 +936,12 @@ def rvnd(
     active = list(NEIGHBORHOODS)
     while active:
         name = active[rng.randrange(len(active))]
-        if name == "shift":
-            candidates = shift_candidates(plan)
-        elif name == "swap":
-            candidates = swap_candidates(plan, rng, params.swap_sample_fraction)
-        elif name == "split":
-            candidates = split_candidates(plan)
-        elif name == "merge":
-            candidates = merge_candidates(plan)
-        else:
-            candidates = delay_candidates(plan, params.d)
+        moves = _screened(plan, name, candidates(plan, name, rng, params))
         stats.rvnd_passes += 1
         improved = False
-        for move in candidates:
+        for move in moves:
             stats.moves_tried += 1
-            if move is None or cannot_improve(plan, move):
+            if move is None:
                 stats.moves_screened += 1
                 continue
             applied = apply_move(plan, move)
@@ -1026,8 +974,8 @@ def perturb(
     while applied < level + 1 and attempts < 40 * (level + 1):
         attempts += 1
         name = kinds[rng.randrange(len(kinds))]
-        move = _draw_move(plan, name, rng, params.swap_sample_fraction)
-        if move is not None and apply_move(plan, move) is not None:
+        cands = list(candidates(plan, name, rng, params))
+        if cands and apply_move(plan, _move(plan, name, cands[rng.randrange(len(cands))])):
             applied += 1
             if stats is not None:
                 stats.perturbations += 1

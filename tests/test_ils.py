@@ -12,17 +12,13 @@ from flashcrowd.ils import (
     OperationalPlan,
     SearchStats,
     apply_move,
+    candidates,
     cannot_improve,
     constructive_phase,
-    delay_candidates,
-    merge_candidates,
     perturb,
     revert_move,
     rvnd,
-    shift_candidates,
     solve,
-    split_candidates,
-    swap_candidates,
 )
 from flashcrowd.model import (
     Content,
@@ -37,46 +33,28 @@ from flashcrowd.model import (
 
 from util_instances import random_midsize_instance, random_tiny_instance, tiny_instance_o1
 
-BUILDERS = {
-    "shift": shift_candidates,
-    "split": split_candidates,
-    "merge": merge_candidates,
-    "ddelay": delay_candidates,
-}
-TARGETS = {
-    "shift": ils._shift_targets,
-    "split": ils._split_targets,
-    "merge": ils._merge_targets,
-    "ddelay": ils._delay_targets,
-}
+
+def every_move(plan, kind, d=1, rng=None):
+    """The move of every candidate of a neighbourhood, screened or not, in
+    search order; swaps as sampled from rng."""
+    return [ils._move(plan, kind, c) for c in candidates(plan, kind, rng, IlsParams(d=d))]
 
 
 def screened(plan, kind, d=1):
     """(move, rejected by its source's terms) for every candidate of a
-    one-source neighbourhood, in search order. The builders yield None in
+    one-source neighbourhood, in search order. The search yields None in
     place of a rejected move, so tests that need every move build them here."""
-    args = (plan, d) if kind == "ddelay" else (plan,)
     fresh = kind != "merge"
     return [
-        (ils._relocate(kind, src.key, src.slices, j2, t2), src.rejects(plan, j2, t2, fresh))
-        for src, j2, t2 in TARGETS[kind](*args)
+        (ils._move(plan, kind, c), c[0].rejects(plan, c[1], c[2], fresh))
+        for c in candidates(plan, kind, None, IlsParams(d=d))
     ]
-
-
-def every_move(plan, kind, d=1):
-    return [move for move, _rejected in screened(plan, kind, d)]
 
 
 def pools(plan, rng):
     """Every candidate of each neighbourhood, screened or not, built from
     the plan as it is now; swaps as sampled from rng."""
-    return [
-        every_move(plan, "shift"),
-        list(swap_candidates(plan, rng, 0.05)),
-        every_move(plan, "split"),
-        every_move(plan, "merge"),
-        every_move(plan, "ddelay", 1),
-    ]
+    return [every_move(plan, kind, rng=rng) for kind in ils.NEIGHBORHOODS]
 
 
 def inverse_move(plan_before: dict, move: Move) -> Move:
@@ -191,7 +169,7 @@ class TestRvnd:
         before = plan.total_cost()
         merges = [
             mv
-            for mv in merge_candidates(plan)
+            for mv in ils._screened(plan, "merge", candidates(plan, "merge", None, IlsParams()))
             if mv is not None and all(dest[0] == 1 for _sl, dest in mv.relocations)
         ]
         assert merges
@@ -316,18 +294,19 @@ class TestScreen:
         assert screened_out >= 1000 and passed >= 50
 
     def test_event_screen_is_sound(self):
-        # The builders drop what their sources' terms reject before
-        # cannot_improve sees it; rvnd counts those drops as screened. The
-        # terms decide range, fresh key and bound, so together with the
-        # bandwidth check they must reject exactly what cannot_improve
-        # rejects, and a dropped move must not be able to improve.
+        # The search drops what a source's terms reject before building the
+        # move, and sends a survivor only through the bandwidth check; rvnd
+        # counts both as screened. The terms decide range, fresh key and
+        # bound, so together with the bandwidth check they must reject
+        # exactly what cannot_improve rejects, and a dropped move must not
+        # be able to improve.
         rejected = kept = 0
         for _stage, plan in self.staged_plans():
             before = plan_state(plan)
             for kind, d in (("shift", 1), ("split", 1), ("merge", 1), ("ddelay", 1), ("ddelay", 2)):
                 cases = screened(plan, kind, d)
-                args = (plan, d) if kind == "ddelay" else (plan,)
-                assert list(BUILDERS[kind](*args)) == [None if r else mv for mv, r in cases]
+                moves = ils._screened(plan, kind, candidates(plan, kind, None, IlsParams(d=d)))
+                assert list(moves) == [None if cannot_improve(plan, mv) else mv for mv, _r in cases]
                 for move, rejects in cases:
                     assert (rejects or ils._exceeds_bandwidth(plan, move)) == cannot_improve(
                         plan, move
@@ -388,25 +367,6 @@ class TestSwapSample:
 
 
 class TestPerturb:
-    def test_drawn_move_matches_a_draw_from_the_full_list(self):
-        rng = random.Random(29)
-        drawn = 0
-        for _ in range(8):
-            inst = random_midsize_instance(rng)
-            plan = constructive_phase(inst, random.Random(rng.randrange(10**6)))
-            for name in ("shift", "swap", "split", "merge"):
-                for seed in range(5):
-                    ours, listed = random.Random(seed), random.Random(seed)
-                    if name == "swap":
-                        moves = list(swap_candidates(plan, listed, 0.05))
-                    else:
-                        moves = every_move(plan, name)
-                    want = moves[listed.randrange(len(moves))] if moves else None
-                    assert ils._draw_move(plan, name, ours, 0.05) == want
-                    assert ours.getstate() == listed.getstate()
-                    drawn += want is not None
-        assert drawn >= 100
-
     def test_level_zero_applies_one_move(self):
         inst = tiny_instance_o1()
         plan = constructive_phase(inst, random.Random(2))
