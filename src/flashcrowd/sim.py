@@ -124,6 +124,14 @@ class ScenarioConfig:
             raise ScenarioInvalid("autoscaling bounds need 0 <= min <= max")
         if self.as_cooldown < 0:
             raise ScenarioInvalid("autoscaling cooldown must be >= 0")
+        if self.default_size <= 0.0 or any(size <= 0.0 for size in self.sizes.values()):
+            raise ScenarioInvalid("content sizes must be positive")
+        if min(self.copy_cost, self.attend_cost, self.penalty) < 0.0:
+            raise ScenarioInvalid("copy cost, attendance cost and penalty must be >= 0")
+        if self.owned_count < 1:
+            raise ScenarioInvalid("at least one owned server required")
+        if self.max_new_instances < 0:
+            raise ScenarioInvalid("max new instances must be >= 0")
 
     def size_of(self, content: int) -> float:
         return self.sizes.get(content, self.default_size)
@@ -146,6 +154,13 @@ def _parse_types(text: str) -> dict[str, ServerType]:
             cost=float(fields["cost"]),
         )
     return out
+
+
+def _required(section, key: str) -> str:
+    value = section.get(key)
+    if value is None:
+        raise ScenarioInvalid(f"missing key {key!r} in [{section.name}]")
+    return value
 
 
 def read_scenario(path: str, seed: int | None = None) -> ScenarioConfig:
@@ -171,7 +186,7 @@ def read_scenario(path: str, seed: int | None = None) -> ScenarioConfig:
         if item.strip():
             cid, val = item.split(":")
             sizes[int(cid)] = float(val)
-    owned_name, _, owned_count = srv.get("owned").partition(":")
+    owned_name, _, owned_count = _required(srv, "owned").partition(":")
     scenario_seed = seed if seed is not None else sc.getint("seed", fallback=0)
     if generator is not None:
         generator = GeneratorConfig(
@@ -198,21 +213,21 @@ def read_scenario(path: str, seed: int | None = None) -> ScenarioConfig:
         generator=generator,
         sizes=sizes,
         default_size=dem.getfloat("default_size", fallback=1.0),
-        client_bandwidth=dem.getfloat("client_bandwidth"),
+        client_bandwidth=float(_required(dem, "client_bandwidth")),
         attend_cost=dem.getfloat("attend_cost", fallback=1.0),
         penalty=dem.getfloat("penalty", fallback=1.0),
         copy_cost=dem.getfloat("copy_cost", fallback=1.0),
         owned_type=owned_name,
         owned_count=int(owned_count or "1"),
         owned_billing=srv.getfloat("owned_billing", fallback=0.0),
-        types=_parse_types(srv.get("types")),
+        types=_parse_types(_required(srv, "types")),
         billing_granularity=srv.getint("billing_granularity", fallback=1),
         replication_delay=srv.getint("replication_delay", fallback=1),
         provisioning_delay=srv.getint("provisioning_delay", fallback=1),
         detector_w=int(det.get("w", 1)),
         flag_cfg=flag,
         ils=params,
-        autoscaling_vm=auto.get("vm_type"),
+        autoscaling_vm=_required(auto, "vm_type"),
         as_threshold=auto.getfloat("threshold", fallback=0.70),
         as_cooldown=auto.getint("cooldown", fallback=1),
         as_min=auto.getint("min", fallback=1),
@@ -356,7 +371,7 @@ def run_pipeline(scenario: ScenarioConfig) -> RunReport:
     detector = Detector(w=scenario.detector_w, flag_cfg=scenario.flag_cfg)
     catalog = frozenset(trace.catalog)
     # Content i of the sorted catalog originates on owned server i mod count.
-    origins = {cid: i % max(1, scenario.owned_count) for i, cid in enumerate(sorted(catalog))}
+    origins = {cid: i % scenario.owned_count for i, cid in enumerate(sorted(catalog))}
     owned_type = scenario.types[scenario.owned_type]
     owned = [_Server(owned_type, scenario.owned_billing, 0, catalog)
              for _ in range(scenario.owned_count)]

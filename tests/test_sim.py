@@ -115,6 +115,22 @@ def test_infeasible_replans_keep_the_current_fleet(monkeypatch, scenarios):
     )
 
 
+def edited_scenario1(tmp_path, key, value=None):
+    """The scenario1 fixture with the line of ``key`` set to ``value``, or
+    deleted when value is None; "section.key" edits the key in that section."""
+    path = scenario1_ini(tmp_path)
+    lines = path.read_text().splitlines()
+    section, _, key = key.rpartition(".")
+    start = lines.index(f"[{section}]") if section else 0
+    at = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} = "))
+    if value is None:
+        del lines[at]
+    else:
+        lines[at] = f"{key} = {value}"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "key,value",
     [
@@ -130,18 +146,26 @@ def test_infeasible_replans_keep_the_current_fleet(monkeypatch, scenarios):
         ("autoscaling.max", "0"),
         ("autoscaling.min", "-1"),
         ("autoscaling.cooldown", "-1"),
+        ("sizes", "0:-1900,1:1500,2:900"),
+        ("sizes", "0:1900,1:0,2:900"),
+        ("default_size", "0"),
+        ("copy_cost", "-1"),
+        ("attend_cost", "-1"),
+        ("penalty", "-5"),
+        ("owned", "large:0"),
+        ("owned", "large:-1"),
+        ("max_new_instances", "-1"),
     ],
 )
 def test_bad_scenario_values_rejected_at_load(tmp_path, key, value):
     # Each of these once failed a replay midway, or ran on silently, instead
     # of failing at load; a client bandwidth of 0 made the demand schedule
-    # grow until memory ran out. "section.key" edits the key in that section.
-    path = scenario1_ini(tmp_path)
-    lines = path.read_text().splitlines()
-    section, _, key = key.rpartition(".")
-    start = lines.index(f"[{section}]") if section else 0
-    at = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} = "))
-    lines[at] = f"{key} = {value}"
-    path.write_text("\n".join(lines) + "\n")
+    # grow until memory ran out, and a negative penalty paid the plan to delay.
     with pytest.raises(ScenarioInvalid):
-        read_scenario(str(path))
+        read_scenario(edited_scenario1(tmp_path, key, value))
+
+
+@pytest.mark.parametrize("key", ["client_bandwidth", "owned", "types", "vm_type"])
+def test_missing_required_key_is_named(tmp_path, key):
+    with pytest.raises(ScenarioInvalid, match=f"missing key '{key}'"):
+        read_scenario(edited_scenario1(tmp_path, key))
