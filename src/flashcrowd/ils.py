@@ -811,7 +811,7 @@ def _swap_pairs(keys, rng: random.Random, fraction: float) -> list[tuple]:
 
 
 def candidates(plan: OperationalPlan, name: str, rng: random.Random, params: IlsParams):
-    """The candidate list of neighbourhood ``name``, in search order.
+    """The candidate list of neighborhood ``name``, in search order.
 
     Shift, split, merge and d-delay give (source, j2, t2): a ``_Source``
     whose slices move to server j2 at period t2. Swap gives its sample of
@@ -837,7 +837,8 @@ def _move(plan: OperationalPlan, name: str, candidate) -> Move:
         src, j2, t2 = candidate
         fresh = () if name == "merge" else ((src.key[0], j2, t2),)
         return Move(name, tuple((sl, (j2, t2)) for sl in src.slices), fresh_keys=fresh)
-    (ka, ja, ta), (kb, jb, tb) = a, b = candidate
+    a, b = candidate
+    (ka, ja, ta), (kb, jb, tb) = a, b
     reloc = [(sl, (jb, ta)) for sl in sorted(plan.events[a])]
     reloc += [(sl, (ja, tb)) for sl in sorted(plan.events[b])]
     return Move("swap", tuple(reloc), fresh_keys=((ka, jb, ta), (kb, ja, tb)))
@@ -967,7 +968,8 @@ def perturb(
     params: IlsParams,
     stats: SearchStats | None = None,
 ) -> OperationalPlan:
-    """Apply level + 1 random feasible moves from {shift, swap, split, merge}."""
+    """Apply level + 1 random feasible moves from {shift, swap, split, merge},
+    each one uniform entry of its neighborhood's candidate list."""
     kinds = ("shift", "swap", "split", "merge")
     applied = 0
     attempts = 0
@@ -975,7 +977,8 @@ def perturb(
         attempts += 1
         name = kinds[rng.randrange(len(kinds))]
         cands = list(candidates(plan, name, rng, params))
-        if cands and apply_move(plan, _move(plan, name, cands[rng.randrange(len(cands))])):
+        move = _move(plan, name, cands[rng.randrange(len(cands))]) if cands else None
+        if move is not None and apply_move(plan, move) is not None:
             applied += 1
             if stats is not None:
                 stats.perturbations += 1
