@@ -83,6 +83,57 @@ def test_parse_clf_lines_status_filter():
     assert len(records) == 1 and records[0].status == 200
 
 
+def _line(stamp, path, status="200", size="10", request=None):
+    request = request if request is not None else f"GET {path} HTTP/1.1"
+    return f'10.0.0.1 - - [{stamp}] "{request}" {status} {size}'
+
+
+def test_parse_clf_lines_matches_per_line_parse():
+    # Repeated stamps in three zones, with each malformed kind the ingest
+    # benchmark injects; the bad-time lines carry paths of their own, so
+    # interning one of them before rejecting it would show in paths().
+    bad_month = _line("05/Xyz/2017:10:00:00 +0000", "/bad-month")
+    bad_day = _line("31/Feb/2017:10:00:00 +0000", "/bad-day")
+    lines = [
+        _line("14/Jul/2017:10:00:00 +0000", "/a?x=1"),
+        bad_day,
+        _line("14/Jul/2017:10:00:00 +0000", "/b"),
+        _line("14/Jul/2017:12:00:00 +0200", "/a"),
+        "",
+        _line("14/Jul/2017:10:00:01 +0000", "/c", size="-"),
+        bad_month,
+        _line("14/Jul/2017:04:30:00 -0530", "/d"),
+        _line("14/Jul/2017:10:00:00 +0000", "/bad-status", status="999"),
+        _line("14/Jul/2017:10:00:00 +0000", "/bad-size", size="12kb"),
+        _line("14/Jul/2017:10:00:00 +0000", "/short", request="GET"),
+        "   ",
+        "not a log line at all",
+        bad_day,
+        _line("14/Jul/2017:04:30:00 -0530", "/b", status="404"),
+        _line("14/Jul/2017:10:00:01 +0000", "/a"),
+    ]
+    interner = ContentInterner()
+    records, skipped = parse_clf_lines(lines, interner)
+
+    expected, expected_skipped = [], 0
+    per_line = ContentInterner()
+    for line in lines:
+        try:
+            expected.append(parse_clf_line(line, per_line))
+        except MalformedLine:
+            expected_skipped += 1
+    assert records == expected
+    assert skipped == expected_skipped == 9
+    assert interner.paths() == per_line.paths() == {"/a": 0, "/b": 1, "/c": 2, "/d": 3}
+    assert len({r.timestamp for r in records}) == 2
+
+    for bad in (bad_month, bad_day):
+        fresh = ContentInterner()
+        with pytest.raises(MalformedLine):
+            parse_clf_line(bad, fresh)
+        assert len(fresh) == 0
+
+
 def _rec(ts, path="/x", cid=None):
     return AccessLogRecord("c", ts, "GET", path, 200, 1, content_id=cid)
 
