@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import math
 
 import pytest
@@ -134,8 +136,28 @@ def test_parse_clf_lines_matches_per_line_parse():
         assert len(fresh) == 0
 
 
+def test_parse_clf_lines_logs_one_debug_record_per_call(caplog):
+    lines = [SAMPLE, SAMPLE, "", SAMPLE.replace("21:31:12", "21:31:13")]
+    with caplog.at_level(logging.DEBUG, logger="flashcrowd.trace"):
+        parse_clf_lines(lines)
+    assert [r.getMessage() for r in caplog.records] == [
+        "parsed 4 log lines: 1 skipped, 2 distinct timestamps"
+    ]
+
+
 def _rec(ts, path="/x", cid=None):
     return AccessLogRecord("c", ts, "GET", path, 200, 1, content_id=cid)
+
+
+def test_access_record_is_frozen_slotted_and_hashable():
+    rec = parse_clf_line(SAMPLE, ContentInterner())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.status = 404
+    twin = AccessLogRecord("282", 893971872.0, "GET", "/images/hm_bg.jpg", 200, 24736, 0)
+    assert twin == rec and hash(twin) == hash(rec)
+    assert twin != dataclasses.replace(rec, size=1)
+    with pytest.raises(TypeError):
+        vars(rec)
 
 
 def test_bin_records_empty():
@@ -161,6 +183,13 @@ def test_bin_records_alignment_to_bin_width_boundaries():
     trace = bin_records([_rec(119, cid=0), _rec(121, cid=0)], 60)
     assert trace.horizon == 2
     assert trace.bins[0] == {0: 1} and trace.bins[1] == {0: 1}
+
+
+def test_bin_records_unsorted_and_negative_times():
+    # Bin 0 is the bin of the earliest record wherever it sits in the input.
+    trace = bin_records([_rec(250, cid=2), _rec(-61, cid=1), _rec(-60, cid=1)], 60)
+    assert trace.horizon == 7
+    assert trace.bins[0] == {1: 1} and trace.bins[1] == {1: 1} and trace.bins[6] == {2: 1}
 
 
 def test_bin_records_count_conservation():
