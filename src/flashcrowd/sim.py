@@ -132,6 +132,15 @@ class ScenarioConfig:
             raise ScenarioInvalid("at least one owned server required")
         if self.max_new_instances < 0:
             raise ScenarioInvalid("max new instances must be >= 0")
+        if self.plan_window < 1:
+            raise ScenarioInvalid("plan window must be >= 1")
+        if self.owned_billing < 0.0:
+            raise ScenarioInvalid("owned billing must be >= 0")
+        for kind in self.types.values():
+            if kind.storage <= 0.0 or kind.bandwidth <= 0.0 or kind.cost < 0.0:
+                raise ScenarioInvalid(
+                    f"type {kind.name!r} needs positive storage and bandwidth and cost >= 0"
+                )
 
     def size_of(self, content: int) -> float:
         return self.sizes.get(content, self.default_size)

@@ -155,6 +155,13 @@ def edited_scenario1(tmp_path, key, value=None):
         ("owned", "large:0"),
         ("owned", "large:-1"),
         ("max_new_instances", "-1"),
+        ("plan_window", "0"),
+        ("plan_window", "-1"),
+        ("owned_billing", "-1"),
+        ("types", "large:storage=0,bandwidth=2600,cost=0.14"),
+        ("types", "large:storage=4300,bandwidth=0,cost=0.14"),
+        ("types", "large:storage=4300,bandwidth=-1,cost=0.14"),
+        ("types", "large:storage=4300,bandwidth=2600,cost=-0.14"),
     ],
 )
 def test_bad_scenario_values_rejected_at_load(tmp_path, key, value):
