@@ -84,7 +84,10 @@ def step(fleet: FleetState, demand: float) -> StepResult:
     capacity = fleet.capacity
     attended = min(offered, capacity)
     fleet.backlog = offered - attended
-    utilization = offered / capacity if capacity > 0 else float("inf")
+    if capacity > 0:
+        utilization = offered / capacity
+    else:  # an empty fleet is overloaded by any load and idle without one
+        utilization = float("inf") if offered > 0 else 0.0
 
     if t >= fleet.cooldown_until:
         if (

@@ -986,9 +986,7 @@ def perturb(
 
 
 def solve(
-    inst: PlanningInstance,
-    params: IlsParams | None = None,
-    incumbent_callback=None,
+    inst: PlanningInstance, params: IlsParams | None = None
 ) -> tuple[Solution, CostBreakdown, dict]:
     """Full multi-start loop; deterministic for a given (instance, params)."""
     params = params or IlsParams()
@@ -1004,8 +1002,6 @@ def solve(
         plan = constructive_phase(inst, rng)
         stats.constructions += 1
         plan = rvnd(plan, rng, params, stats)
-        if incumbent_callback is not None:
-            incumbent_callback(plan)
         level = 0
         while level < params.level_max:
             trial = plan.clone()
@@ -1014,8 +1010,6 @@ def solve(
             if trial.total_cost() < plan.total_cost() - EPS:
                 plan = trial
                 level = 0
-                if incumbent_callback is not None:
-                    incumbent_callback(plan)
             else:
                 level += 1
         if plan.total_cost() < best_cost - EPS:

@@ -1,12 +1,13 @@
-"""LP-format export of planning instances, a parser, a MILP bridge and
-the exact solver.
+"""The planning MILP as one record, its LP text, and the exact solver.
 
-The exporter writes standard LP text (CPLEX dialect) so any mainstream
-MILP solver can check or solve an instance; the parser reads that subset
-back, and ``solve_lp_text`` feeds it to scipy's HiGHS-backed MILP solver.
-``solve_exact`` returns the optimum as a ``Solution``: it exports, solves,
-and decodes the variable values with ``assignment_to_solution``, the
-inverse of ``solution_to_assignment``.
+``build_model`` builds an instance's MILP once, as an ``LpModel`` record
+(objective, named rows, binary and continuous variables). ``solve_model``
+hands the record to scipy's HiGHS-backed MILP solver; ``solve_exact``
+solves it and decodes the values with ``assignment_to_solution``, the
+inverse of ``solution_to_assignment``. LP text (CPLEX dialect) is one view
+of the record, so any mainstream MILP solver can check an instance:
+``write_lp`` writes it, ``export_lp`` is ``write_lp(build_model(...))``,
+and ``parse_lp`` reads that subset back. ``solve_exact`` uses no text.
 
 Emission rules (the documented contract for counting variables and
 constraints):
@@ -61,7 +62,7 @@ from .model import (
     evaluate,
 )
 
-# export_lp raises TooLarge when |R||S||T|^2, about twice the number of
+# build_model raises TooLarge when |R||S||T|^2, about twice the number of
 # slice variables s, exceeds this.
 MAX_VARIABLES = 200_000
 
@@ -70,26 +71,27 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-class _Rows:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
+@dataclass
+class LpModel:
+    """Minimize ``objective`` subject to ``rows``, with ``binaries`` in
+    {0, 1} and ``continuous`` variables >= 0.
 
-    def add(self, name: str, terms: list[tuple[float, str]], op: str, rhs: float) -> None:
-        if not terms:
-            raise AssertionError(f"constraint {name} has no terms")
-        parts = []
-        for coef, var in terms:
-            sign = "-" if coef < 0 else "+"
-            mag = abs(coef)
-            parts.append(f"{sign} {_fmt(mag)} {var}")
-        text = " ".join(parts)
-        if text.startswith("+ "):
-            text = text[2:]
-        self.lines.append(f" {name}: {text} {op} {_fmt(rhs)}")
+    ``objective`` maps variable names to coefficients; each row is
+    ``(name, {variable: coefficient}, op, rhs)`` with op one of ``<=``,
+    ``>=`` and ``=``. Rows, terms and variables are in emission order.
+    """
+
+    objective: dict[str, float]
+    rows: list[tuple[str, dict[str, float], str, float]]
+    binaries: list[str]
+    continuous: list[str]
+
+    def objective_value(self, assignment: dict[str, float]) -> float:
+        return sum(coef * assignment.get(var, 0.0) for var, coef in self.objective.items())
 
 
-def export_lp(instance: PlanningInstance, mode: str = "literal") -> str:
-    """Serialize the instance as LP text in the selected constraint mode."""
+def build_model(instance: PlanningInstance, mode: str = "literal") -> LpModel:
+    """The instance's MILP in the selected constraint mode."""
     if mode not in ("literal", "corrected"):
         raise ValueError(f"unknown mode {mode!r}")
     inst = instance
@@ -128,31 +130,31 @@ def export_lp(instance: PlanningInstance, mode: str = "literal") -> str:
 
     server_ids = [srv.id for srv in inst.servers]
     binaries: list[str] = []
-    objective: list[tuple[float, str]] = []
-    # (demand, slice variable) terms of request i on server j at period t,
-    # in o order; every bandwidth and handling row is built from these.
-    slices: dict[tuple[int, int, int], list[tuple[float, str]]] = {}
+    objective: dict[str, float] = {}
+    # {slice variable: demand} of request i on server j at period t, in o
+    # order; every bandwidth and handling row is built from these.
+    slices: dict[tuple[int, int, int], dict[str, float]] = {}
 
     for r in inst.requests:
         for j in server_ids:
             for t in range(1, tf + 1):
                 binaries.append(x(r.id, j, t))
                 if r.attend_cost:
-                    objective.append((r.attend_cost, x(r.id, j, t)))
-                terms = slices[r.id, j, t] = []
+                    objective[x(r.id, j, t)] = r.attend_cost
+                terms = slices[r.id, j, t] = {}
                 for o in range(1, t + 1):
                     var = s(r.id, o, j, t)
                     binaries.append(var)
                     if r.demand_at(o):
-                        terms.append((r.demand_at(o), var))
-    b_vars: list[str] = []
+                        terms[var] = r.demand_at(o)
+    continuous: list[str] = []
     for r in inst.requests:
         start = inst.content_by_id[r.content].start
         for t in range(start, tf + 1):
-            b_vars.append(b(r.id, t))
+            continuous.append(b(r.id, t))
             pen = r.penalty_at(t)
             if pen:
-                objective.append((pen, b(r.id, t)))
+                objective[b(r.id, t)] = pen
     for c in inst.contents:
         for j in server_ids:
             for t in range(c.start, tf + 1):
@@ -161,60 +163,67 @@ def export_lp(instance: PlanningInstance, mode: str = "literal") -> str:
                 for l in server_ids:
                     binaries.append(wv(c.id, j, l, t))
                     if c.copy_cost:
-                        objective.append((c.copy_cost, wv(c.id, j, l, t)))
+                        objective[wv(c.id, j, l, t)] = c.copy_cost
     for srv in inst.hirable:
         for a in range(1, inst.billing_slots + 1):
             binaries.append(zv(srv.id, a))
-            objective.append((srv.cost / m, zv(srv.id, a)))
+            objective[zv(srv.id, a)] = srv.cost / m
 
-    rows = _Rows()
+    rows: list[tuple[str, dict[str, float], str, float]] = []
+
+    def add(name: str, terms: dict[str, float], op: str, rhs: float) -> None:
+        if not terms:
+            raise AssertionError(f"constraint {name} has no terms")
+        rows.append((name, terms, op, rhs))
+
+    def served(cells) -> dict[str, float]:
+        # The slice terms of the (request, server, period) cells, in order.
+        return {var: d for cell in cells for var, d in slices[cell].items()}
+
+    def needs_y(k, j, t, var: str) -> dict[str, float]:
+        # Terms of y_k_j_t - var, or of -var where that replica never exists.
+        return {yv(k, j, t): 1.0, var: -1.0} if y_exists(k, j, t) else {var: -1.0}
 
     for r in inst.requests:
         start = inst.content_by_id[r.content].start
         for t in range(start, tf + 1):
-            terms = [term for j in server_ids for term in slices[r.id, j, t]]
-            terms.append((1.0, b(r.id, t)))
+            terms = served((r.id, j, t) for j in server_ids)
+            terms[b(r.id, t)] = 1.0
             if t - 1 >= start:
-                terms.append((-1.0, b(r.id, t - 1)))
-            rows.add(f"r1_i{r.id}_t{t}", terms, "=", r.demand_at(t))
+                terms[b(r.id, t - 1)] = -1.0
+            add(f"r1_i{r.id}_t{t}", terms, "=", r.demand_at(t))
 
     for j in server_ids:
         srv = inst.server_by_id[j]
         for t in range(1, tf + 1):
-            terms = [term for r in inst.requests for term in slices[r.id, j, t]]
+            terms = served((r.id, j, t) for r in inst.requests)
             if terms:
-                rows.add(f"r2_j{j}_t{t}", terms, "<=", srv.bandwidth)
+                add(f"r2_j{j}_t{t}", terms, "<=", srv.bandwidth)
 
     for r in inst.requests:
         for t in range(1, tf + 1):
-            terms = [term for j in server_ids for term in slices[r.id, j, t]]
+            terms = served((r.id, j, t) for j in server_ids)
             if terms:
-                rows.add(f"r3_i{r.id}_t{t}", terms, "<=", inst.client_bandwidth)
+                add(f"r3_i{r.id}_t{t}", terms, "<=", inst.client_bandwidth)
 
     for r in inst.requests:
-        terms = [
-            term for j in server_ids for t in range(1, tf + 1) for term in slices[r.id, j, t]
-        ]
-        rows.add(f"r4_i{r.id}", terms, "=", r.total_demand)
+        terms = served((r.id, j, t) for j in server_ids for t in range(1, tf + 1))
+        add(f"r4_i{r.id}", terms, "=", r.total_demand)
 
     for r in inst.requests:
         size = inst.content_by_id[r.content].size
         for j in server_ids:
             for t in range(1, tf + 1):
-                terms = [*slices[r.id, j, t], (-size, x(r.id, j, t))]
-                rows.add(f"r4_1_i{r.id}_j{j}_t{t}", terms, "<=", 0.0)
+                terms = {**slices[r.id, j, t], x(r.id, j, t): -size}
+                add(f"r4_1_i{r.id}_j{j}_t{t}", terms, "<=", 0.0)
 
     for r in inst.requests:
-        k = r.content
         for j in server_ids:
             for t in range(1, tf + 1):
-                terms = [(-1.0, x(r.id, j, t))]
-                if y_exists(k, j, t):
-                    terms.insert(0, (1.0, yv(k, j, t)))
-                rows.add(f"r5_i{r.id}_j{j}_t{t}", terms, ">=", 0.0)
+                add(f"r5_i{r.id}_j{j}_t{t}", needs_y(r.content, j, t, x(r.id, j, t)), ">=", 0.0)
 
     for c in inst.contents:
-        rows.add(f"r6_k{c.id}", [(1.0, yv(c.id, c.origin, c.start))], "=", 1.0)
+        add(f"r6_k{c.id}", {yv(c.id, c.origin, c.start): 1.0}, "=", 1.0)
 
     if mode == "literal":
         for c in inst.contents:
@@ -222,98 +231,88 @@ def export_lp(instance: PlanningInstance, mode: str = "literal") -> str:
                 for t in range(c.start, tf + 1):
                     if t + tr > tf or not y_exists(c.id, j, t + tr):
                         continue
-                    terms = [(1.0, wv(c.id, j, l, t)) for l in server_ids]
-                    terms.append((-1.0, yv(c.id, j, t + tr)))
-                    rows.add(f"r10_k{c.id}_j{j}_t{t}", terms, ">=", 0.0)
+                    terms = {wv(c.id, j, l, t): 1.0 for l in server_ids}
+                    terms[yv(c.id, j, t + tr)] = -1.0
+                    add(f"r10_k{c.id}_j{j}_t{t}", terms, ">=", 0.0)
         for c in inst.contents:
             for j in server_ids:  # destination, as printed
                 for l in server_ids:  # source
                     for t in range(c.start, tf + 1):
-                        terms = [(-1.0, wv(c.id, l, j, t))]
-                        if y_exists(c.id, j, t):
-                            terms.insert(0, (1.0, yv(c.id, j, t)))
-                        rows.add(f"r11_k{c.id}_j{j}_l{l}_t{t}", terms, ">=", 0.0)
+                        terms = needs_y(c.id, j, t, wv(c.id, l, j, t))
+                        add(f"r11_k{c.id}_j{j}_l{l}_t{t}", terms, ">=", 0.0)
     else:
         for c in inst.contents:
             for j in server_ids:  # source
                 for l in server_ids:
                     for t in range(c.start, tf + 1):
-                        terms = [(-1.0, wv(c.id, j, l, t))]
-                        if y_exists(c.id, j, t):
-                            terms.insert(0, (1.0, yv(c.id, j, t)))
-                        rows.add(f"r10c_k{c.id}_j{j}_l{l}_t{t}", terms, ">=", 0.0)
+                        terms = needs_y(c.id, j, t, wv(c.id, j, l, t))
+                        add(f"r10c_k{c.id}_j{j}_l{l}_t{t}", terms, ">=", 0.0)
         for c in inst.contents:
             for l in server_ids:
                 for t in range(c.start + 1, tf + 1):
                     if not y_exists(c.id, l, t):
                         continue
-                    terms = [(1.0, yv(c.id, l, t))]
+                    terms = {yv(c.id, l, t): 1.0}
                     if y_exists(c.id, l, t - 1):
-                        terms.append((-1.0, yv(c.id, l, t - 1)))
+                        terms[yv(c.id, l, t - 1)] = -1.0
                     if t - tr >= c.start:
                         for j in server_ids:
-                            terms.append((-1.0, wv(c.id, j, l, t - tr)))
-                    rows.add(f"r11c_k{c.id}_l{l}_t{t}", terms, "<=", 0.0)
+                            terms[wv(c.id, j, l, t - tr)] = -1.0
+                    add(f"r11c_k{c.id}_l{l}_t{t}", terms, "<=", 0.0)
 
     for j in server_ids:
         srv = inst.server_by_id[j]
         for t in range(1, tf + 1):
-            terms = [
-                (c.size, yv(c.id, j, t))
-                for c in inst.contents
-                if y_exists(c.id, j, t)
-            ]
+            terms = {yv(c.id, j, t): c.size for c in inst.contents if y_exists(c.id, j, t)}
             if terms:
-                rows.add(f"r12_j{j}_t{t}", terms, "<=", srv.storage)
+                add(f"r12_j{j}_t{t}", terms, "<=", srv.storage)
 
     for r in inst.requests:
         for srv in inst.hirable:
             for t in range(1, tf + 1):
-                a = inst.slot_of(t)
-                rows.add(
-                    f"r13_i{r.id}_j{srv.id}_t{t}",
-                    [(1.0, zv(srv.id, a)), (-1.0, x(r.id, srv.id, t))],
-                    ">=",
-                    0.0,
-                )
+                terms = {zv(srv.id, inst.slot_of(t)): 1.0, x(r.id, srv.id, t): -1.0}
+                add(f"r13_i{r.id}_j{srv.id}_t{t}", terms, ">=", 0.0)
 
-    obj_text = (
-        " ".join(
-            (f"+ {_fmt(c)} {v}" if c >= 0 else f"- {_fmt(-c)} {v}")
-            for c, v in objective
-        ).lstrip("+ ")
-        or "0"
+    return LpModel(objective, rows, binaries, continuous)
+
+
+# ---------------------------------------------------------------------------
+# LP text: a writer, and a parser for the subset it writes.
+# ---------------------------------------------------------------------------
+
+
+def _terms_text(terms: dict[str, float]) -> str:
+    text = " ".join(
+        f"{'-' if coef < 0 else '+'} {_fmt(abs(coef))} {var}" for var, coef in terms.items()
     )
-    out = ["\\ planning instance LP export", "Minimize", f" obj: {obj_text}", "Subject To"]
-    out.extend(rows.lines)
-    if b_vars:
+    return text[2:] if text.startswith("+ ") else text
+
+
+def write_lp(model: LpModel) -> str:
+    """The model as LP text (CPLEX dialect)."""
+    out = [
+        "\\ planning instance LP export",
+        "Minimize",
+        f" obj: {_terms_text(model.objective) or '0'}",
+        "Subject To",
+    ]
+    out.extend(
+        f" {name}: {_terms_text(terms)} {op} {_fmt(rhs)}" for name, terms, op, rhs in model.rows
+    )
+    if model.continuous:
         out.append("Bounds")
-        out.extend(f" {v} >= 0" for v in b_vars)
-    if binaries:
+        out.extend(f" {v} >= 0" for v in model.continuous)
+    if model.binaries:
         out.append("Binaries")
-        for i in range(0, len(binaries), 8):
-            out.append(" " + " ".join(binaries[i : i + 8]))
+        for i in range(0, len(model.binaries), 8):
+            out.append(" " + " ".join(model.binaries[i : i + 8]))
     out.append("End")
     return "\n".join(out) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# Parser for the exported subset, and a scipy (HiGHS) solve bridge.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ParsedLP:
-    objective: dict[str, float]
-    constant: float
-    constraints: list[tuple[str, dict[str, float], str, float]]
-    binaries: set[str]
-    variables: list[str]
-
-    def objective_value(self, assignment: dict[str, float]) -> float:
-        return self.constant + sum(
-            coef * assignment.get(var, 0.0) for var, coef in self.objective.items()
-        )
+def export_lp(instance: PlanningInstance, mode: str = "literal") -> str:
+    """Serialize the instance as LP text in the selected constraint mode."""
+    return write_lp(build_model(instance, mode))
 
 
 _TOKEN = re.compile(r"(<=|>=|=|\+|-|[A-Za-z_][A-Za-z0-9_]*|[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)")
@@ -325,16 +324,11 @@ def _parse_terms(tokens: list[str]) -> tuple[dict[str, float], float]:
     sign = 1.0
     pending: float | None = None
     for tok in tokens:
-        if tok == "+":
+        if tok in ("+", "-"):
             if pending is not None:
                 constant += sign * pending
                 pending = None
-            sign = 1.0
-        elif tok == "-":
-            if pending is not None:
-                constant += sign * pending
-                pending = None
-            sign = -1.0
+            sign = 1.0 if tok == "+" else -1.0
         elif re.fullmatch(r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?", tok):
             if pending is not None:
                 constant += sign * pending
@@ -349,13 +343,15 @@ def _parse_terms(tokens: list[str]) -> tuple[dict[str, float], float]:
     return coeffs, constant
 
 
-def parse_lp(text: str) -> ParsedLP:
-    """Parse the LP subset produced by export_lp."""
+def parse_lp(text: str) -> LpModel:
+    """Parse the LP subset produced by write_lp.
+
+    Every variable not in the Binaries section is continuous and >= 0: those
+    in Bounds first, then undeclared ones in order of appearance.
+    """
     section = None
-    objective: dict[str, float] = {}
-    constant = 0.0
     constraints: list[tuple[str, dict[str, float], str, float]] = []
-    binaries: set[str] = set()
+    binaries: list[str] = []
     bounds_lines: list[str] = []
     obj_tokens: list[str] = []
     pending_row: list[str] = []
@@ -393,55 +389,49 @@ def parse_lp(text: str) -> ParsedLP:
         elif section == "bounds":
             bounds_lines.append(line.strip())
         elif section in ("binaries", "binary"):
-            binaries.update(line.split())
+            binaries.extend(line.split())
     flush_row()
     objective, constant = _parse_terms(obj_tokens)
-    variables = sorted(
-        set(objective)
-        | binaries
-        | {v for _n, coeffs, _op, _rhs in constraints for v in coeffs}
-        | {ln.split()[0] for ln in bounds_lines if ln}
-    )
-    return ParsedLP(objective, constant, constraints, binaries, variables)
+    if constant:
+        raise ValueError("constant term in the objective")
+    binaries = list(dict.fromkeys(binaries))
+    declared = set(binaries)
+    named = [
+        *(ln.split()[0] for ln in bounds_lines),
+        *objective,
+        *(v for _n, coeffs, _op, _rhs in constraints for v in coeffs),
+    ]
+    continuous = [v for v in dict.fromkeys(named) if v not in declared]
+    return LpModel(objective, constraints, binaries, continuous)
 
 
-def solve_lp_text(text: str, time_limit: float | None = None) -> tuple[float, dict[str, float]]:
-    """Solve exported LP text with scipy's MILP (HiGHS); returns (obj, values).
+def solve_model(model: LpModel, time_limit: float | None = None) -> tuple[float, dict[str, float]]:
+    """Solve the model with scipy's MILP (HiGHS); returns (obj, values).
 
+    Columns are the sorted variable names and rows keep the model's order.
     Raises Infeasible when HiGHS proves the model infeasible, and
     RuntimeError on any other failure, such as the time limit.
     """
-    lp = parse_lp(text)
-    idx = {v: i for i, v in enumerate(lp.variables)}
-    n = len(lp.variables)
+    variables = sorted({*model.binaries, *model.continuous})
+    idx = {v: i for i, v in enumerate(variables)}
+    n = len(variables)
     c = np.zeros(n)
-    for v, coef in lp.objective.items():
+    for v, coef in model.objective.items():
         c[idx[v]] = coef
-    if lp.constraints:
-        rows, cols, vals = [], [], []
-        lbs, ubs = [], []
-        for rno, (_name, coeffs, op, rhs) in enumerate(lp.constraints):
-            for v, coef in coeffs.items():
-                rows.append(rno)
-                cols.append(idx[v])
-                vals.append(coef)
-            if op == "<=":
-                lbs.append(-np.inf)
-                ubs.append(rhs)
-            elif op == ">=":
-                lbs.append(rhs)
-                ubs.append(np.inf)
-            else:
-                lbs.append(rhs)
-                ubs.append(rhs)
-        mat = scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(len(lp.constraints), n)
-        )
+    constraints = ()
+    if model.rows:
+        rows, cols, vals, lbs, ubs = [], [], [], [], []
+        for rno, (_name, coeffs, op, rhs) in enumerate(model.rows):
+            rows.extend([rno] * len(coeffs))
+            cols.extend(idx[v] for v in coeffs)
+            vals.extend(coeffs.values())
+            lbs.append(-np.inf if op == "<=" else rhs)
+            ubs.append(np.inf if op == ">=" else rhs)
+        mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(model.rows), n))
         constraints = scipy.optimize.LinearConstraint(mat, lbs, ubs)
-    else:
-        constraints = ()
-    integrality = np.array([1 if v in lp.binaries else 0 for v in lp.variables])
-    upper = np.array([1.0 if v in lp.binaries else np.inf for v in lp.variables])
+    binaries = set(model.binaries)
+    integrality = np.array([1 if v in binaries else 0 for v in variables])
+    upper = np.array([1.0 if v in binaries else np.inf for v in variables])
     bounds = scipy.optimize.Bounds(np.zeros(n), upper)
     options = {"mip_rel_gap": 0.0}
     if time_limit is not None:
@@ -457,8 +447,13 @@ def solve_lp_text(text: str, time_limit: float | None = None) -> tuple[float, di
         raise Infeasible(f"MILP infeasible: {res.message}")
     if not res.success:
         raise RuntimeError(f"MILP solve failed: {res.message}")
-    values = {v: float(res.x[idx[v]]) for v in lp.variables}
-    return float(res.fun) + lp.constant, values
+    values = {v: float(res.x[idx[v]]) for v in variables}
+    return float(res.fun), values
+
+
+def solve_lp_text(text: str, time_limit: float | None = None) -> tuple[float, dict[str, float]]:
+    """Solve LP text, as parse_lp reads it, with solve_model."""
+    return solve_model(parse_lp(text), time_limit)
 
 
 def solution_to_assignment(instance: PlanningInstance, solution) -> dict[str, float]:
@@ -529,9 +524,9 @@ def solve_exact(
 ) -> tuple[Solution, CostBreakdown]:
     """Optimal solution in the selected constraint mode, solved by HiGHS.
 
-    Raises TooLarge above the export cap, Infeasible when no solution
+    Raises TooLarge above the model size cap, Infeasible when no solution
     exists, and RuntimeError on any other solver failure.
     """
-    _objective, values = solve_lp_text(export_lp(instance, mode))
+    _objective, values = solve_model(build_model(instance, mode))
     solution = assignment_to_solution(instance, values)
     return solution, evaluate(instance, solution)

@@ -155,7 +155,10 @@ def _parse_types(text: str) -> dict[str, ServerType]:
     out: dict[str, ServerType] = {}
     for item in text.split():
         name, _, body = item.partition(":")
-        fields = dict(kv.split("=") for kv in body.split(","))
+        fields = dict(kv.partition("=")[::2] for kv in body.split(",") if kv)
+        missing = [key for key in ("storage", "bandwidth", "cost") if key not in fields]
+        if missing:
+            raise ScenarioInvalid(f"server type {name!r} is missing {', '.join(missing)}")
         out[name] = ServerType(
             name=name,
             storage=float(fields["storage"]),

@@ -28,6 +28,13 @@ class TestScaling:
             cfg.min_instances * cfg.vm_type.cost + cfg.balancer_cost
         )
 
+    def test_empty_fleet_with_no_demand_stays_empty(self):
+        # An empty fleet offered nothing is idle, not overloaded.
+        fleet = new_fleet(config(min_instances=0, cooldown=3, lb_cost=0.0))
+        results = [step(fleet, 0.0) for _ in range(8)]
+        assert all(r.pending == 0 and r.active == 0 for r in results)
+        assert fleet.cumulative_cost == 0.0
+
     def test_exactly_at_threshold_no_scale_out(self):
         cfg = config()
         fleet = new_fleet(cfg)

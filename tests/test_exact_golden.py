@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from flashcrowd.lpio import assignment_to_solution, export_lp, solve_exact, solve_lp_text
+from flashcrowd.lpio import assignment_to_solution, build_model, solve_exact, solve_model
 from flashcrowd.model import Infeasible, check_feasibility, evaluate
 from util_instances import random_tiny_instance
 
@@ -56,7 +56,7 @@ def test_optimum_matches_golden(golden, seed, draw, mode):
         with pytest.raises(Infeasible):
             solve_exact(inst, mode)
         return
-    objective, values = solve_lp_text(export_lp(inst, mode))
+    objective, values = solve_model(build_model(inst, mode))
     sol = assignment_to_solution(inst, values)
     assert check_feasibility(inst, sol, mode) == []
     assert abs(evaluate(inst, sol).total - objective) <= 1e-9

@@ -1,9 +1,20 @@
 import hashlib
+import random
 import re
 
 import pytest
 
-from flashcrowd.lpio import export_lp, parse_lp, solution_to_assignment, solve_exact, solve_lp_text
+from flashcrowd import lpio
+from flashcrowd.lpio import (
+    _fmt,
+    build_model,
+    export_lp,
+    parse_lp,
+    solution_to_assignment,
+    solve_exact,
+    solve_lp_text,
+    solve_model,
+)
 from flashcrowd.model import (
     Content,
     HIRABLE,
@@ -15,7 +26,14 @@ from flashcrowd.model import (
     TooLarge,
 )
 
-from util_instances import infeasible_instance, oversized_instance, tiny_instance_o1
+from test_exact_golden import CASES as GOLDEN_CASES
+from test_exact_golden import instance as golden_instance
+from util_instances import (
+    infeasible_instance,
+    oversized_instance,
+    random_midsize_instance,
+    tiny_instance_o1,
+)
 
 
 def micro_instance():
@@ -36,9 +54,9 @@ class TestExportCounts:
     def test_variable_and_constraint_counts_match_enumeration(self):
         # Hand enumeration per the documented emission rules.
         inst = micro_instance()
-        lp = parse_lp(export_lp(inst, mode="literal"))
+        lp = build_model(inst, mode="literal")
         vars_by_prefix = {}
-        for v in lp.variables:
+        for v in [*lp.binaries, *lp.continuous]:
             vars_by_prefix.setdefault(v.split("_")[0], set()).add(v)
         # x: |R| * |S| * |T| = 1*2*2
         assert len(vars_by_prefix["x"]) == 4
@@ -53,7 +71,7 @@ class TestExportCounts:
         # z: one hirable server, one slot
         assert len(vars_by_prefix["z"]) == 1
         counts = {}
-        for name, _c, _op, _rhs in lp.constraints:
+        for name, _c, _op, _rhs in lp.rows:
             fam = re.match(r"(r\d+c?(?:_1)?)_", name + "_").group(1)
             counts[fam] = counts.get(fam, 0) + 1
         assert counts["r1"] == 2  # t in [1..2]
@@ -70,10 +88,10 @@ class TestExportCounts:
 
     def test_corrected_families(self):
         inst = micro_instance()
-        lp = parse_lp(export_lp(inst, mode="corrected"))
-        fams = {name.split("_")[0] for name, *_ in lp.constraints}
+        lp = build_model(inst, mode="corrected")
+        fams = {name.split("_")[0] for name, *_ in lp.rows}
         assert "r10c" in fams and "r11c" in fams
-        assert not any(n.startswith("r10_") or n.startswith("r11_") for n, *_ in lp.constraints)
+        assert not any(n.startswith("r10_") or n.startswith("r11_") for n, *_ in lp.rows)
 
     def test_empty_instance(self):
         inst = PlanningInstance(
@@ -81,7 +99,7 @@ class TestExportCounts:
         )
         text = export_lp(inst)
         assert " obj: 0" in text
-        assert parse_lp(text).constraints == []
+        assert parse_lp(text).rows == []
 
     def test_size_cap(self):
         with pytest.raises(TooLarge):
@@ -102,6 +120,56 @@ def test_export_text_digest(make, mode, digest):
     assert hashlib.sha256(export_lp(make(), mode).encode()).hexdigest() == digest
 
 
+def assert_text_reads_back(inst, mode):
+    # The written text parses back to the built model; coefficients and
+    # right-hand sides compare as written, at 12 significant digits.
+    built, parsed = build_model(inst, mode), parse_lp(export_lp(inst, mode))
+
+    def rows(model):
+        return [
+            (name, [(v, _fmt(c)) for v, c in terms.items()], op, _fmt(rhs))
+            for name, terms, op, rhs in model.rows
+        ]
+
+    assert [(v, _fmt(c)) for v, c in built.objective.items()] == [
+        (v, _fmt(c)) for v, c in parsed.objective.items()
+    ]
+    assert rows(built) == rows(parsed)
+    assert built.binaries == parsed.binaries
+    assert built.continuous == parsed.continuous
+
+
+@pytest.mark.parametrize("mode", ["literal", "corrected"])
+@pytest.mark.parametrize("make", [tiny_instance_o1, micro_instance])
+def test_text_reads_back_as_the_built_model(make, mode):
+    assert_text_reads_back(make(), mode)
+
+
+@pytest.mark.parametrize("seed,draw", GOLDEN_CASES)
+def test_golden_instance_text_reads_back_as_the_built_model(seed, draw):
+    for mode in ("literal", "corrected"):
+        assert_text_reads_back(golden_instance(seed, draw), mode)
+
+
+def test_solve_exact_writes_and_parses_no_text(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("solve_exact went through LP text")
+
+    for name in ("export_lp", "write_lp", "parse_lp", "solve_lp_text"):
+        monkeypatch.setattr(lpio, name, refuse)
+    monkeypatch.setattr(lpio, "re", None)
+    monkeypatch.setattr(lpio, "_TOKEN", None)
+    for mode, optimum in (("literal", 70 + 4 / 60), ("corrected", 66 + 4 / 60)):
+        assert solve_exact(tiny_instance_o1(), mode)[1].total == pytest.approx(optimum, abs=1e-9)
+
+
+def test_time_limit_raises_runtime_error_not_infeasible():
+    # bench/make_optima.py stores an unknown optimum on this error.
+    model = build_model(random_midsize_instance(random.Random(0)), "corrected")
+    with pytest.raises(RuntimeError, match="Time limit reached"):
+        solve_model(model, time_limit=1e-3)
+
+
 class TestRoundTrip:
     def test_objective_of_oracle_assignment_matches_evaluate(self):
         for mode in ("literal", "corrected"):
@@ -118,9 +186,9 @@ class TestRoundTrip:
         )
         lp = parse_lp(text)
         assert lp.objective == {"a": 2.5, "b": -0.01, "c": 1.0}
-        assert lp.constraints[0][1] == {"a": 1.0, "b": 2.0, "c": -3.0}
-        assert lp.constraints[0][2] == "<=" and lp.constraints[0][3] == 4.5
-        assert lp.binaries == {"a", "c"}
+        assert lp.rows[0][1] == {"a": 1.0, "b": 2.0, "c": -3.0}
+        assert lp.rows[0][2] == "<=" and lp.rows[0][3] == 4.5
+        assert set(lp.binaries) == {"a", "c"} and lp.continuous == ["b"]
 
 
 class TestExternalSolver:

@@ -162,6 +162,8 @@ def edited_scenario1(tmp_path, key, value=None):
         ("types", "large:storage=4300,bandwidth=0,cost=0.14"),
         ("types", "large:storage=4300,bandwidth=-1,cost=0.14"),
         ("types", "large:storage=4300,bandwidth=2600,cost=-0.14"),
+        ("types", "large:storage=4300,bandwidth=2600"),
+        ("types", "large"),
     ],
 )
 def test_bad_scenario_values_rejected_at_load(tmp_path, key, value):
@@ -170,6 +172,15 @@ def test_bad_scenario_values_rejected_at_load(tmp_path, key, value):
     # grow until memory ran out, and a negative penalty paid the plan to delay.
     with pytest.raises(ScenarioInvalid):
         read_scenario(edited_scenario1(tmp_path, key, value))
+
+
+@pytest.mark.parametrize(
+    "value,missing",
+    [("large:storage=4300,bandwidth=2600", "cost"), ("large", "storage, bandwidth, cost")],
+)
+def test_server_type_missing_field_is_named(tmp_path, value, missing):
+    with pytest.raises(ScenarioInvalid, match=f"server type 'large' is missing {missing}$"):
+        read_scenario(edited_scenario1(tmp_path, "types", value))
 
 
 @pytest.mark.parametrize("key", ["client_bandwidth", "owned", "types", "vm_type"])
