@@ -47,7 +47,7 @@ class FleetState:
     cooldown_until: int = 0
     backlog: float = 0.0
     cumulative_cost: float = 0.0
-    billed_slots: set[int] = field(default_factory=set)
+    billed_slot: int = 0  # the last billing slot charged; slots never decrease
 
     @property
     def capacity(self) -> float:
@@ -106,8 +106,8 @@ def step(fleet: FleetState, demand: float) -> StepResult:
 
     slot = max(1, -(-(t) // cfg.billing_granularity))
     cost_delta = 0.0
-    if slot not in fleet.billed_slots:
-        fleet.billed_slots.add(slot)
+    if slot != fleet.billed_slot:
+        fleet.billed_slot = slot
         cost_delta += cfg.balancer_cost
         cost_delta += fleet.active * cfg.vm_type.cost
     else:

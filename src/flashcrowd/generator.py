@@ -68,9 +68,6 @@ class ContentProfile:
     alpha0: float
     beta0: float
     phases: tuple[PhaseSchedule, ...] = ()
-    # Marks a content that keeps its baseline shape while others surge;
-    # informational only, sampling is fully determined by `phases`.
-    baseline_in_flash_crowd: bool = False
 
     def __post_init__(self) -> None:
         if self.u_max <= 0:
@@ -185,7 +182,6 @@ def flash_windows(config: GeneratorConfig) -> list[tuple[int, int]]:
 #   beta0 = 28
 #   phases = up:5000:7000:0.002 down:13000:15000:0.002
 #   replicate = 10          ; optional: ids 0..9 share this profile
-#   baseline = false        ; optional
 #
 # `phases` is a whitespace-separated list of kind:t0:t1:gamma descriptors.
 # ---------------------------------------------------------------------------
@@ -226,7 +222,6 @@ def read_generator_config(path: str, seed: int | None = None) -> GeneratorConfig
                     alpha0=sec.getfloat("alpha0"),
                     beta0=sec.getfloat("beta0"),
                     phases=_parse_phases(sec.get("phases", "")),
-                    baseline_in_flash_crowd=sec.getboolean("baseline", fallback=False),
                 )
             )
     contents.sort(key=lambda p: p.content)

@@ -1,106 +1,6 @@
-"""Planning-instance text format and construction from binned traces."""
+"""Demand schedule of a planning request: its bytes spread over periods."""
 
 from __future__ import annotations
-
-import math
-
-from .model import (
-    Content,
-    HIRABLE,
-    OWNED,
-    PlanningInstance,
-    Request,
-    Server,
-)
-from .trace import BinnedTrace
-
-FORMAT_HEADER = "flashcrowd-instance v1"
-
-
-def _format_map(d: dict[int, float]) -> str:
-    return ",".join(f"{t}:{v:g}" for t, v in sorted(d.items()))
-
-
-def _parse_map(text: str) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for item in text.split(","):
-        if not item:
-            continue
-        t, v = item.split(":")
-        out[int(t)] = float(v)
-    return out
-
-
-def write_instance(instance: PlanningInstance, path: str) -> None:
-    lines = [FORMAT_HEADER, "", "[params]"]
-    lines.append(f"horizon = {instance.horizon}")
-    lines.append(f"client_bandwidth = {instance.client_bandwidth:g}")
-    lines.append(f"replication_delay = {instance.replication_delay}")
-    lines.append(f"provisioning_delay = {instance.provisioning_delay}")
-    lines.append(f"billing_granularity = {instance.billing_granularity}")
-    lines.append("")
-    lines.append("[servers]")
-    lines.append("# id kind storage bandwidth cost")
-    for s in instance.servers:
-        lines.append(f"{s.id} {s.kind} {s.storage:g} {s.bandwidth:g} {s.cost:g}")
-    lines.append("")
-    lines.append("[contents]")
-    lines.append("# id size start origin copy_cost")
-    for c in instance.contents:
-        lines.append(f"{c.id} {c.size:g} {c.start} {c.origin} {c.copy_cost:g}")
-    lines.append("")
-    lines.append("[requests]")
-    lines.append("# id content attend_cost penalty demand")
-    for r in instance.requests:
-        pen = _format_map(r.penalty) if isinstance(r.penalty, dict) else f"{r.penalty:g}"
-        lines.append(f"{r.id} {r.content} {r.attend_cost:g} {pen} {_format_map(r.demand)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_instance(path: str) -> PlanningInstance:
-    with open(path) as fh:
-        raw = [line.rstrip("\n") for line in fh]
-    if not raw or raw[0].strip() != FORMAT_HEADER:
-        raise ValueError(f"missing header {FORMAT_HEADER!r}")
-    section = None
-    params: dict[str, str] = {}
-    servers: list[Server] = []
-    contents: list[Content] = []
-    requests: list[Request] = []
-    for line in raw[1:]:
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        if text.startswith("[") and text.endswith("]"):
-            section = text[1:-1]
-            continue
-        if section == "params":
-            key, _, value = text.partition("=")
-            params[key.strip()] = value.strip()
-        elif section == "servers":
-            sid, kind, storage, bandwidth, cost = text.split()
-            servers.append(Server(int(sid), kind, float(storage), float(bandwidth), float(cost)))
-        elif section == "contents":
-            cid, size, start, origin, copy_cost = text.split()
-            contents.append(Content(int(cid), float(size), int(start), int(origin), float(copy_cost)))
-        elif section == "requests":
-            rid, cid, attend, pen, demand = text.split()
-            penalty: dict[int, float] | float
-            penalty = _parse_map(pen) if ":" in pen else float(pen)
-            requests.append(Request(int(rid), int(cid), float(attend), _parse_map(demand), penalty))
-        else:
-            raise ValueError(f"content outside a known section: {text!r}")
-    return PlanningInstance(
-        servers=servers,
-        contents=contents,
-        requests=requests,
-        horizon=int(params["horizon"]),
-        client_bandwidth=float(params["client_bandwidth"]),
-        replication_delay=int(params.get("replication_delay", "1")),
-        provisioning_delay=int(params.get("provisioning_delay", "1")),
-        billing_granularity=int(params.get("billing_granularity", "1")),
-    )
 
 
 def spread_demand(total: float, arrival: int, client_bandwidth: float) -> dict[int, float]:
@@ -114,95 +14,3 @@ def spread_demand(total: float, arrival: int, client_bandwidth: float) -> dict[i
         remaining -= amount
         t += 1
     return out
-
-
-def build_instance_from_trace(
-    trace: BinnedTrace,
-    servers: list[Server],
-    bins_per_period: int,
-    top_n: int = 10,
-    content_sizes: dict[int, float] | float = 1.0,
-    origins: dict[int, int] | None = None,
-    attend_cost: float = 1.0,
-    penalty: float = 1.0,
-    copy_cost: float = 1.0,
-    client_bandwidth: float | None = None,
-    replication_delay: int = 1,
-    provisioning_delay: int = 1,
-    billing_granularity: int = 1,
-    content_start: int = 1,
-) -> PlanningInstance:
-    """Discretize a trace into periods and keep only the busiest contents.
-
-    Bins are grouped into periods of ``bins_per_period``; within each period
-    only the ``top_n`` most-accessed contents are kept, and each (content,
-    nonzero bin) pair becomes one request arriving in that period. A request
-    demands its content's full size, spread from the arrival period at
-    min(client bandwidth, remaining) per period; the horizon is padded so
-    the latest arrival can complete.
-
-    Content origins default to round-robin over the owned servers.
-    """
-    if trace.horizon == 0:
-        raise ValueError("trace is empty")
-    if bins_per_period < 1:
-        raise ValueError("bins_per_period must be >= 1")
-    owned = [s for s in servers if s.kind == OWNED]
-    if origins is None:
-        if not owned:
-            raise ValueError("need owned servers (or explicit origins)")
-        ordered = sorted(trace.catalog)
-        origins = {cid: owned[i % len(owned)].id for i, cid in enumerate(ordered)}
-
-    def size_of(cid: int) -> float:
-        if isinstance(content_sizes, dict):
-            return content_sizes[cid]
-        return float(content_sizes)
-
-    bx = client_bandwidth
-    if bx is None:
-        bx = max(size_of(cid) for cid in trace.catalog)
-
-    n_periods = math.ceil(trace.horizon / bins_per_period)
-    period_totals: list[dict[int, int]] = [dict() for _ in range(n_periods)]
-    for t, b in enumerate(trace.bins):
-        p = t // bins_per_period
-        for cid, count in b.items():
-            if count > 0:
-                period_totals[p][cid] = period_totals[p].get(cid, 0) + count
-    kept: list[set[int]] = []
-    for totals in period_totals:
-        ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-        kept.append({cid for cid, _ in ranked[:top_n]})
-
-    used_contents: set[int] = set()
-    arrivals: list[tuple[int, int]] = []  # (content, arrival period 1-based)
-    for t, b in enumerate(trace.bins):
-        p = t // bins_per_period
-        for cid in sorted(b):
-            if b[cid] > 0 and cid in kept[p]:
-                used_contents.add(cid)
-                arrivals.append((cid, p + 1))
-
-    max_size = max((size_of(c) for c in used_contents), default=1.0)
-    pad = math.ceil(max_size / bx)
-    horizon = n_periods + pad
-
-    contents = [
-        Content(cid, size_of(cid), content_start, origins[cid], copy_cost)
-        for cid in sorted(used_contents)
-    ]
-    requests = [
-        Request(i, cid, attend_cost, spread_demand(size_of(cid), arrival, bx), penalty)
-        for i, (cid, arrival) in enumerate(arrivals)
-    ]
-    return PlanningInstance(
-        servers=servers,
-        contents=contents,
-        requests=requests,
-        horizon=horizon,
-        client_bandwidth=bx,
-        replication_delay=replication_delay,
-        provisioning_delay=provisioning_delay,
-        billing_granularity=billing_granularity,
-    )

@@ -118,6 +118,8 @@ class ScenarioConfig:
             raise ScenarioInvalid("client bandwidth must be positive")
         if self.detector_w < 1:
             raise ScenarioInvalid("detector window must be >= 1")
+        if self.flag_cfg.warmup < 0 or self.flag_cfg.merge_gap < 0:
+            raise ScenarioInvalid("detector warmup and gap_merge must be >= 0")
         if not 0.0 < self.as_threshold < 1.0:
             raise ScenarioInvalid("autoscaling threshold must be in (0, 1)")
         if not 0 <= self.as_min <= self.as_max:
@@ -151,20 +153,32 @@ class ScenarioConfig:
         return generate(self.generator)
 
 
-def _parse_types(text: str) -> dict[str, ServerType]:
+def _number(section, key: str, kind: type, default=None, text: str | None = None):
+    """``[section] key`` read as ``kind``, or ``default`` when the key is
+    absent; ``text`` is a number taken from inside the key's compound value."""
+    if text is None:
+        text = section.get(key)
+        if text is None:
+            return default
+    try:
+        return kind(text)
+    except ValueError:
+        raise ScenarioInvalid(f"[{section.name}] {key}: bad number {text!r}") from None
+
+
+def _parse_types(srv) -> dict[str, ServerType]:
     out: dict[str, ServerType] = {}
-    for item in text.split():
+    for item in _required(srv, "types").split():
         name, _, body = item.partition(":")
         fields = dict(kv.partition("=")[::2] for kv in body.split(",") if kv)
         missing = [key for key in ("storage", "bandwidth", "cost") if key not in fields]
         if missing:
             raise ScenarioInvalid(f"server type {name!r} is missing {', '.join(missing)}")
-        out[name] = ServerType(
-            name=name,
-            storage=float(fields["storage"]),
-            bandwidth=float(fields["bandwidth"]),
-            cost=float(fields["cost"]),
+        storage, bandwidth, cost = (
+            _number(srv, "types", float, text=fields[key])
+            for key in ("storage", "bandwidth", "cost")
         )
+        out[name] = ServerType(name=name, storage=storage, bandwidth=bandwidth, cost=cost)
     return out
 
 
@@ -175,80 +189,75 @@ def _required(section, key: str) -> str:
     return value
 
 
-def read_scenario(path: str, seed: int | None = None) -> ScenarioConfig:
+def read_scenario(path: str) -> ScenarioConfig:
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_file(fh)
+    for optional in ("detector", "ils"):
+        if optional not in cp:
+            cp.add_section(optional)
     try:
         sc = cp["scenario"]
         tr = cp["trace"]
         dem = cp["demand"]
         srv = cp["servers"]
-        det = cp["detector"] if "detector" in cp else {}
-        ils_sec = cp["ils"] if "ils" in cp else {}
+        det = cp["detector"]
+        ils_sec = cp["ils"]
         auto = cp["autoscaling"]
     except KeyError as exc:
         raise ScenarioInvalid(f"missing section {exc}") from exc
-    generator = None
-    trace_file = tr.get("file", fallback=None)
-    if tr.get("generator", fallback=None):
-        generator = read_generator_config(tr.get("generator"))
+    scenario_seed = _number(sc, "seed", int, 0)
+    generator_path = tr.get("generator")
+    generator = read_generator_config(generator_path, scenario_seed) if generator_path else None
     sizes = {}
     for item in dem.get("sizes", fallback="").split(","):
         if item.strip():
-            cid, val = item.split(":")
-            sizes[int(cid)] = float(val)
+            cid, _, val = item.partition(":")
+            sizes[_number(dem, "sizes", int, text=cid)] = _number(dem, "sizes", float, text=val)
     owned_name, _, owned_count = _required(srv, "owned").partition(":")
-    scenario_seed = seed if seed is not None else sc.getint("seed", fallback=0)
-    if generator is not None:
-        generator = GeneratorConfig(
-            contents=generator.contents,
-            horizon=generator.horizon,
-            bin_width=generator.bin_width,
-            seed=scenario_seed,
-        )
     flag = FlagConfig(
-        k=float(det.get("k", 3.0)),
-        m=int(det.get("m", 3)),
-        gap_merge=int(det["gap_merge"]) if "gap_merge" in det else None,
-        warmup=int(det.get("warmup", 200)),
+        k=_number(det, "k", float, 3.0),
+        m=_number(det, "m", int, 3),
+        gap_merge=_number(det, "gap_merge", int),
+        warmup=_number(det, "warmup", int, 200),
     )
     params = IlsParams(
-        iter_max=int(ils_sec.get("iters", 2)),
-        level_max=int(ils_sec.get("levels", 1)),
-        d=int(ils_sec.get("d", 1)),
-        swap_sample_fraction=float(ils_sec.get("swap_frac", 0.05)),
+        iter_max=_number(ils_sec, "iters", int, 2),
+        level_max=_number(ils_sec, "levels", int, 1),
+        d=_number(ils_sec, "d", int, 1),
+        swap_sample_fraction=_number(ils_sec, "swap_frac", float, 0.05),
         seed=scenario_seed,
     )
     return ScenarioConfig(
-        trace_file=trace_file,
+        trace_file=tr.get("file"),
         generator=generator,
         sizes=sizes,
-        default_size=dem.getfloat("default_size", fallback=1.0),
-        client_bandwidth=float(_required(dem, "client_bandwidth")),
-        attend_cost=dem.getfloat("attend_cost", fallback=1.0),
-        penalty=dem.getfloat("penalty", fallback=1.0),
-        copy_cost=dem.getfloat("copy_cost", fallback=1.0),
+        default_size=_number(dem, "default_size", float, 1.0),
+        client_bandwidth=_number(dem, "client_bandwidth", float,
+                                 text=_required(dem, "client_bandwidth")),
+        attend_cost=_number(dem, "attend_cost", float, 1.0),
+        penalty=_number(dem, "penalty", float, 1.0),
+        copy_cost=_number(dem, "copy_cost", float, 1.0),
         owned_type=owned_name,
-        owned_count=int(owned_count or "1"),
-        owned_billing=srv.getfloat("owned_billing", fallback=0.0),
-        types=_parse_types(_required(srv, "types")),
-        billing_granularity=srv.getint("billing_granularity", fallback=1),
-        replication_delay=srv.getint("replication_delay", fallback=1),
-        provisioning_delay=srv.getint("provisioning_delay", fallback=1),
-        detector_w=int(det.get("w", 1)),
+        owned_count=_number(srv, "owned", int, text=owned_count or "1"),
+        owned_billing=_number(srv, "owned_billing", float, 0.0),
+        types=_parse_types(srv),
+        billing_granularity=_number(srv, "billing_granularity", int, 1),
+        replication_delay=_number(srv, "replication_delay", int, 1),
+        provisioning_delay=_number(srv, "provisioning_delay", int, 1),
+        detector_w=_number(det, "w", int, 1),
         flag_cfg=flag,
         ils=params,
         autoscaling_vm=_required(auto, "vm_type"),
-        as_threshold=auto.getfloat("threshold", fallback=0.70),
-        as_cooldown=auto.getint("cooldown", fallback=1),
-        as_min=auto.getint("min", fallback=1),
-        as_max=auto.getint("max", fallback=64),
-        lb_cost=auto.getfloat("lb_cost", fallback=None),
-        replan_interval=sc.getint("replan_interval", fallback=1),
-        plan_window=sc.getint("plan_window", fallback=12),
-        max_new_instances=sc.getint("max_new_instances", fallback=6),
-        plan_bandwidth_margin=sc.getfloat("plan_bandwidth_margin", fallback=0.0),
+        as_threshold=_number(auto, "threshold", float, 0.70),
+        as_cooldown=_number(auto, "cooldown", int, 1),
+        as_min=_number(auto, "min", int, 1),
+        as_max=_number(auto, "max", int, 64),
+        lb_cost=_number(auto, "lb_cost", float),
+        replan_interval=_number(sc, "replan_interval", int, 1),
+        plan_window=_number(sc, "plan_window", int, 12),
+        max_new_instances=_number(sc, "max_new_instances", int, 6),
+        plan_bandwidth_margin=_number(sc, "plan_bandwidth_margin", float, 0.0),
         seed=scenario_seed,
     )
 
@@ -302,10 +311,6 @@ class RunReport:
     @property
     def plan_solves(self) -> int:
         return sum(1 for r in self.replans if not r.failed)
-
-    @property
-    def max_detector_ms(self) -> float:
-        return max((r.detector_ms for r in self.rows), default=0.0)
 
     def final_backlog(self) -> float:
         return self.rows[-1].backlog if self.rows else 0.0
@@ -664,19 +669,6 @@ def run_baseline(scenario: ScenarioConfig) -> RunReport:
 class Comparison:
     rows: list[tuple[str, float, float, float]]
 
-    def to_text(self) -> str:
-        width = max(len(r[0]) for r in self.rows)
-        lines = [f"{'metric':<{width}}  {'a':>14} {'b':>14} {'delta':>14}"]
-        for name, a, b, d in self.rows:
-            lines.append(f"{name:<{width}}  {a:>14.6g} {b:>14.6g} {d:>14.6g}")
-        return "\n".join(lines)
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("metric,a,b,delta\n")
-            for name, a, b, d in self.rows:
-                fh.write(f"{name},{a:.10g},{b:.10g},{d:.10g}\n")
-
     def value(self, metric: str) -> tuple[float, float, float]:
         for name, a, b, d in self.rows:
             if name == metric:
@@ -723,33 +715,3 @@ def compare(a: RunReport, b: RunReport) -> Comparison:
     ]
     return Comparison(rows)
 
-
-def write_report_csv(report: RunReport, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(
-            "period,offered,attended,backlog,owned,hired_active,hired_pending,"
-            "cost_delta,cost_total,detector_ms\n"
-        )
-        for r in report.rows:
-            fh.write(
-                f"{r.period},{r.offered:.10g},{r.attended:.10g},{r.backlog:.10g},"
-                f"{r.owned},{r.hired_active},{r.hired_pending},"
-                f"{r.cost_delta:.10g},{r.cost_total:.10g},{r.detector_ms:.4g}\n"
-            )
-
-
-def summarize(report: RunReport) -> str:
-    lines = [
-        f"policy: {report.policy}",
-        f"trace: {report.provenance} seed: {report.seed}",
-        f"periods: {len(report.rows)}",
-        f"total offered bytes: {report.total_offered:.6g}",
-        f"total attended bytes: {report.total_attended:.6g}",
-        f"final backlog: {report.final_backlog():.6g}",
-        f"peak fleet: {report.peak_fleet}",
-        f"total financial cost: {report.total_cost:.6g}",
-        f"detected events: {report.events}",
-        f"plan solves: {report.plan_solves}",
-        f"max detector time per bin: {report.max_detector_ms:.3f} ms",
-    ]
-    return "\n".join(lines)

@@ -195,7 +195,6 @@ replicate = 3
 u_max = 30
 alpha0 = 1.5
 beta0 = 28.5
-baseline = true
 """
     path = tmp_path / "gen.ini"
     path.write_text(text)
@@ -203,7 +202,6 @@ baseline = true
     assert cfg.horizon == 100 and cfg.bin_width == 2.0 and cfg.seed == 9
     assert [p.content for p in cfg.contents] == [0, 1, 2, 10]
     assert cfg.contents[0].phases[0].kind is UP
-    assert cfg.contents[3].baseline_in_flash_crowd
     assert cfg.contents[3].phases == ()
     assert generate(cfg) == generate(read_generator_config(str(path)))
     override = read_generator_config(str(path), seed=77)

@@ -1,11 +1,6 @@
 import pytest
 
-from flashcrowd.instances import (
-    build_instance_from_trace,
-    read_instance,
-    spread_demand,
-    write_instance,
-)
+from flashcrowd.instances import spread_demand
 from flashcrowd.model import (
     AttendanceTuple,
     Content,
@@ -21,7 +16,6 @@ from flashcrowd.model import (
     check_feasibility,
     evaluate,
 )
-from flashcrowd.trace import BinnedTrace
 
 from util_instances import tiny_instance_o1
 
@@ -226,87 +220,6 @@ class TestFeasibility:
         assert "r11" not in cor and "r10c" not in cor
         # r3: both requests at 10 bytes in period 1 is fine per request.
         assert "r3" not in lit
-
-
-class TestInstanceIO:
-    def test_roundtrip(self, tmp_path):
-        inst = tiny_instance_o1()
-        path = tmp_path / "o1.inst"
-        write_instance(inst, str(path))
-        back = read_instance(str(path))
-        assert back.horizon == inst.horizon
-        assert back.servers == inst.servers
-        assert back.contents == inst.contents
-        assert back.requests == inst.requests
-        assert back.client_bandwidth == inst.client_bandwidth
-        assert back.billing_granularity == inst.billing_granularity
-        assert path.read_text().startswith("flashcrowd-instance v1")
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "bad.inst"
-        path.write_text("[params]\nhorizon = 1\n")
-        with pytest.raises(ValueError):
-            read_instance(str(path))
-
-
-class TestBuildFromTrace:
-    def servers(self):
-        return [Server(0, OWNED, storage=100, bandwidth=50)]
-
-    def test_single_content_single_bin(self):
-        trace = BinnedTrace(1.0, [{7: 3}], set())
-        inst = build_instance_from_trace(
-            trace, self.servers(), bins_per_period=1, content_sizes=8.0,
-            client_bandwidth=8.0,
-        )
-        assert len(inst.requests) == 1
-        req = inst.requests[0]
-        assert req.demand == {1: 8.0}
-        assert inst.contents[0].id == 7
-
-    def test_top_n_recount(self):
-        # Recount oracle: enumerate expected (content, bin) pairs directly.
-        bins = []
-        for t in range(12):
-            bins.append({0: 5 + t, 1: 3, 2: 1 if t % 2 == 0 else 0})
-        trace = BinnedTrace(1.0, bins, set())
-        inst = build_instance_from_trace(
-            trace, self.servers(), bins_per_period=4, top_n=2,
-            content_sizes=4.0, client_bandwidth=4.0,
-        )
-        expected = 0
-        for p in range(3):
-            totals = {}
-            for t in range(4 * p, 4 * p + 4):
-                for cid, cnt in bins[t].items():
-                    if cnt:
-                        totals[cid] = totals.get(cid, 0) + cnt
-            top = {c for c, _n in sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:2]}
-            for t in range(4 * p, 4 * p + 4):
-                expected += sum(1 for cid, cnt in bins[t].items() if cnt and cid in top)
-        assert len(inst.requests) == expected
-        assert {c.id for c in inst.contents} == {0, 1}
-
-    def test_top_n_larger_than_catalog_keeps_all(self):
-        bins = [{0: 1, 1: 2, 2: 3}]
-        trace = BinnedTrace(1.0, bins, set())
-        inst = build_instance_from_trace(
-            trace, self.servers(), bins_per_period=1, top_n=10,
-            content_sizes=2.0, client_bandwidth=2.0,
-        )
-        assert {c.id for c in inst.contents} == {0, 1, 2}
-        assert len(inst.requests) == 3
-
-    def test_horizon_padded_for_late_arrivals(self):
-        trace = BinnedTrace(1.0, [{0: 1}, {0: 1}], set())
-        inst = build_instance_from_trace(
-            trace, self.servers(), bins_per_period=1, content_sizes=12.0,
-            client_bandwidth=4.0,
-        )
-        # 2 periods of arrivals + ceil(12/4) pad.
-        assert inst.horizon == 5
-        late = [r for r in inst.requests if min(r.demand) == 2][0]
-        assert sum(late.demand.values()) == 12.0
 
 
 def test_spread_demand():

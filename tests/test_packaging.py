@@ -1,3 +1,5 @@
+import ast
+import collections
 import importlib
 import pathlib
 import re
@@ -38,3 +40,30 @@ def test_declared_scripts_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def test_every_public_name_has_a_reference():
+    # A public function, class or method whose name occurs nowhere but in
+    # its own definition is code that nothing runs.
+    words = collections.Counter()
+    for tree in ("src", "bench", "tests"):
+        for path in (ROOT / tree).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text()))
+    modules = [ast.parse(path.read_text()) for path in sorted((SRC / "flashcrowd").glob("*.py"))]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    definitions = collections.Counter(
+        node.name
+        for module in modules
+        for node in ast.walk(module)
+        if isinstance(node, (*functions, ast.ClassDef))
+    )
+    public = []
+    for module in modules:
+        for node in module.body:
+            if isinstance(node, (*functions, ast.ClassDef)):
+                public.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                public += [m.name for m in node.body if isinstance(m, functions)]
+    unused = sorted({name for name in public
+                     if not name.startswith("_") and words[name] <= definitions[name]})
+    assert unused == []

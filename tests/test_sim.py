@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from flashcrowd.sim import (
     run_baseline,
     run_pipeline,
 )
+from flashcrowd.trace import write_csv_trace
 from util_scenarios import flat_scenario_ini, scenario1_ini
 
 POLICIES = {"pipeline": run_pipeline, "baseline": run_baseline}
@@ -164,12 +166,22 @@ def edited_scenario1(tmp_path, key, value=None):
         ("types", "large:storage=4300,bandwidth=2600,cost=-0.14"),
         ("types", "large:storage=4300,bandwidth=2600"),
         ("types", "large"),
+        ("types", "large:storage=big,bandwidth=2600,cost=0.14"),
+        ("sizes", "0:x"),
+        ("owned", "large:two"),
+        ("penalty", "x"),
+        ("replan_interval", "five"),
+        ("detector.w", "x"),
+        ("warmup", "-1"),
+        ("gap_merge", "-5"),
+        ("generator", None),
     ],
 )
 def test_bad_scenario_values_rejected_at_load(tmp_path, key, value):
     # Each of these once failed a replay midway, or ran on silently, instead
     # of failing at load; a client bandwidth of 0 made the demand schedule
-    # grow until memory ran out, and a negative penalty paid the plan to delay.
+    # grow until memory ran out, a negative penalty paid the plan to delay, a
+    # negative warmup divided by zero and a negative gap_merge never re-planned.
     with pytest.raises(ScenarioInvalid):
         read_scenario(edited_scenario1(tmp_path, key, value))
 
@@ -183,7 +195,40 @@ def test_server_type_missing_field_is_named(tmp_path, value, missing):
         read_scenario(edited_scenario1(tmp_path, "types", value))
 
 
+@pytest.mark.parametrize(
+    "key,value,named",
+    [
+        ("types", "large:storage=big,bandwidth=2600,cost=0.14",
+         "[servers] types: bad number 'big'"),
+        ("sizes", "0:x", "[demand] sizes: bad number 'x'"),
+        ("owned", "large:two", "[servers] owned: bad number 'two'"),
+        ("penalty", "x", "[demand] penalty: bad number 'x'"),
+        ("replan_interval", "five", "[scenario] replan_interval: bad number 'five'"),
+        ("detector.w", "x", "[detector] w: bad number 'x'"),
+    ],
+)
+def test_bad_number_names_its_key(tmp_path, key, value, named):
+    with pytest.raises(ScenarioInvalid, match=f"^{re.escape(named)}$"):
+        read_scenario(edited_scenario1(tmp_path, key, value))
+
+
 @pytest.mark.parametrize("key", ["client_bandwidth", "owned", "types", "vm_type"])
 def test_missing_required_key_is_named(tmp_path, key):
     with pytest.raises(ScenarioInvalid, match=f"missing key '{key}'"):
         read_scenario(edited_scenario1(tmp_path, key))
+
+
+def test_csv_trace_replays_like_its_generator(tmp_path, scenarios, reports):
+    # The same bins read from a `[trace] file` CSV instead of `generator`.
+    csv_path = tmp_path / "trace.csv"
+    write_csv_trace(scenarios["scenario1"].load_trace(), str(csv_path))
+    ini = scenario1_ini(tmp_path)
+    ini.write_text(re.sub(r"(?m)^generator = .*$", f"file = {csv_path}", ini.read_text()))
+    from_csv = read_scenario(str(ini))
+    assert from_csv.generator is None
+    for policy, run in POLICIES.items():
+        got = without_timings(run(from_csv))
+        want = without_timings(reports["scenario1", policy])
+        # The CSV carries no bin width, so it reads as 1 instead of 60.
+        assert got.provenance != want.provenance
+        assert dataclasses.replace(got, provenance=want.provenance) == want
