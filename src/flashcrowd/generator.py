@@ -187,15 +187,36 @@ def flash_windows(config: GeneratorConfig) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_phases(text: str) -> tuple[PhaseSchedule, ...]:
+def _number(path: str, section, key: str, kind: type, default=None, text: str | None = None):
+    """``[section] key`` of the file at ``path`` read as ``kind``; an absent
+    key gives ``default`` or, with no default, fails. ``text`` is a number
+    taken from inside the key's compound value or from the section name."""
+    if text is None:
+        text = section.get(key)
+        if text is None:
+            if default is None:
+                raise ValueError(f"{path}: missing key {key!r} in [{section.name}]")
+            return default
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{path}: [{section.name}] {key}: bad number {text!r}") from None
+
+
+def _parse_phases(path: str, section) -> tuple[PhaseSchedule, ...]:
     phases = []
-    for item in text.split():
+    for item in section.get("phases", "").split():
         parts = item.split(":")
         if len(parts) != 4:
             raise ValueError(f"bad phase descriptor {item!r}")
         kind, t0, t1, gamma = parts
         phases.append(
-            PhaseSchedule(int(t0), int(t1), float(gamma), PhaseKind(kind))
+            PhaseSchedule(
+                _number(path, section, "phases", int, text=t0),
+                _number(path, section, "phases", int, text=t1),
+                _number(path, section, "phases", float, text=gamma),
+                PhaseKind(kind),
+            )
         )
     return tuple(phases)
 
@@ -211,17 +232,16 @@ def read_generator_config(path: str, seed: int | None = None) -> GeneratorConfig
     for section in cp.sections():
         if not section.startswith("content."):
             continue
-        base_id = int(section.split(".", 1)[1])
         sec = cp[section]
-        replicate = sec.getint("replicate", fallback=1)
-        for offset in range(replicate):
+        base_id = _number(path, sec, "section id", int, text=section.split(".", 1)[1])
+        for offset in range(_number(path, sec, "replicate", int, 1)):
             contents.append(
                 ContentProfile(
                     content=base_id + offset,
-                    u_max=sec.getint("u_max"),
-                    alpha0=sec.getfloat("alpha0"),
-                    beta0=sec.getfloat("beta0"),
-                    phases=_parse_phases(sec.get("phases", "")),
+                    u_max=_number(path, sec, "u_max", int),
+                    alpha0=_number(path, sec, "alpha0", float),
+                    beta0=_number(path, sec, "beta0", float),
+                    phases=_parse_phases(path, sec),
                 )
             )
     contents.sort(key=lambda p: p.content)
@@ -230,7 +250,7 @@ def read_generator_config(path: str, seed: int | None = None) -> GeneratorConfig
         raise ValueError("duplicate content ids in generator config")
     return GeneratorConfig(
         contents=contents,
-        horizon=gen.getint("horizon"),
-        bin_width=gen.getfloat("bin_width", fallback=1.0),
-        seed=seed if seed is not None else gen.getint("seed", fallback=0),
+        horizon=_number(path, gen, "horizon", int),
+        bin_width=_number(path, gen, "bin_width", float, 1.0),
+        seed=seed if seed is not None else _number(path, gen, "seed", int, 0),
     )

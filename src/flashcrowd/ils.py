@@ -75,8 +75,10 @@ class IlsParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.iter_max < 1 or self.level_max < 0:
-            raise ValueError("iter_max >= 1 and level_max >= 0 required")
+        if self.iter_max < 1:
+            raise ValueError("iter_max must be >= 1")
+        if self.level_max < 0:
+            raise ValueError("level_max must be >= 0")
         if self.d == 0:
             raise ValueError("d must be nonzero")
         if not 0 < self.swap_sample_fraction <= 1:

@@ -29,6 +29,7 @@ produce reports with identical per-period schemas for comparison.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 import math
 import time
@@ -208,7 +209,10 @@ def read_scenario(path: str) -> ScenarioConfig:
         raise ScenarioInvalid(f"missing section {exc}") from exc
     scenario_seed = _number(sc, "seed", int, 0)
     generator_path = tr.get("generator")
-    generator = read_generator_config(generator_path, scenario_seed) if generator_path else None
+    try:
+        generator = read_generator_config(generator_path, scenario_seed) if generator_path else None
+    except ValueError as exc:
+        raise ScenarioInvalid(str(exc)) from exc
     sizes = {}
     for item in dem.get("sizes", fallback="").split(","):
         if item.strip():
@@ -221,13 +225,19 @@ def read_scenario(path: str) -> ScenarioConfig:
         gap_merge=_number(det, "gap_merge", int),
         warmup=_number(det, "warmup", int, 200),
     )
-    params = IlsParams(
-        iter_max=_number(ils_sec, "iters", int, 2),
-        level_max=_number(ils_sec, "levels", int, 1),
-        d=_number(ils_sec, "d", int, 1),
-        swap_sample_fraction=_number(ils_sec, "swap_frac", float, 0.05),
-        seed=scenario_seed,
-    )
+    search = {}
+    for key, name, kind, default in (
+        ("iters", "iter_max", int, 2),
+        ("levels", "level_max", int, 1),
+        ("d", "d", int, 1),
+        ("swap_frac", "swap_sample_fraction", float, 0.05),
+    ):
+        search[name] = _number(ils_sec, key, kind, default)
+        try:
+            IlsParams(**{name: search[name]})  # each check reads one field
+        except ValueError as exc:
+            raise ScenarioInvalid(f"[ils] {key}: {exc}") from None
+    params = IlsParams(**search, seed=scenario_seed)
     return ScenarioConfig(
         trace_file=tr.get("file"),
         generator=generator,
@@ -283,7 +293,12 @@ class ReplanRecord:
     t: int
     requests: int
     servers: int
-    solve_ms: float  # instance builds and solves, both when the widened retry ran
+    # Instance builds and solves, both when the widened retry ran. A reused
+    # record took its plan from the run's memo (the same server types,
+    # unstarted requests and recent counts were solved earlier in the run;
+    # ils.solve is deterministic per instance and params), so its time is
+    # the lookup alone and every other field but t is the first solve's.
+    solve_ms: float
     widened: bool  # the first solve was Infeasible and the widened window ran
     failed: bool = False  # the widened window was Infeasible too: no plan
     plan_cost: float | None = None
@@ -291,6 +306,12 @@ class ReplanRecord:
     moves_screened: int = 0
     moves_accepted: int = 0
     hires: int = 0  # instances the plan spawned
+    reused: bool = False  # an earlier replan of this run had the same inputs
+
+
+# A replan's record with t and solve_ms unset, and the plan's
+# (content, plan server) replicas to apply.
+_Plan = tuple[ReplanRecord, tuple[tuple[int, int], ...]]
 
 
 @dataclass
@@ -396,6 +417,7 @@ def run_pipeline(scenario: ScenarioConfig) -> RunReport:
     incoming: set[tuple[int, _Server, int]] = set()  # (arrival, server, content)
     pending: list[_SimRequest] = []
     last_plan = last_flagged = -(10**9)
+    plans: dict[tuple, _Plan] = {}  # this run's replans by input, see _replan
 
     for t in range(1, trace.horizon + 1):
         bin_counts = trace.bins[t - 1]
@@ -423,7 +445,8 @@ def run_pipeline(scenario: ScenarioConfig) -> RunReport:
         event_active = t - last_flagged <= scenario.flag_cfg.merge_gap
         if event_active and t - last_plan >= scenario.replan_interval:
             last_plan = t
-            _replan(scenario, t, pending, owned, hired, incoming, origins, report, bin_counts)
+            _replan(scenario, t, pending, owned, hired, incoming, origins, report, bin_counts,
+                    plans)
         if t % scenario.billing_granularity == 0:
             # Scale-in at slot boundaries is idleness-driven: an instance
             # goes away once it spent a whole slot neither serving nor
@@ -490,19 +513,25 @@ def _replan(
     origins: dict[int, int],
     report: RunReport,
     recent_counts: dict[int, int],
+    plans: dict[tuple, _Plan],
 ) -> None:
-    """Plan hires/replications over the window.
+    """Plan hires/replications over the window and apply the plan.
 
-    The window's demand is the unstarted pending requests plus a
-    persistence forecast: every later window period is assumed to repeat
-    the most recent bin's arrivals, so the plan sizes the fleet for the
-    stream rather than a one-shot pulse.
+    ``plans`` is the run's memo of finished plans. Its key is what the
+    instance reads that changes within a run: the server-type names of the
+    owned and hired servers in fleet order, the unstarted requests'
+    ``(content, remaining)`` in pending order and the sorted recent counts.
+    The scenario, the origins and the owned count are fixed for the run.
+    ``ils.solve`` is deterministic for a given (instance, params), since it
+    seeds its own generator from ``params.seed``, so a replan whose key was
+    seen before reuses that plan, a failed one included, instead of solving
+    again. The memo holds at most one entry per replan, so at most
+    horizon / replan_interval entries, and goes with the run. The apply
+    step runs on every replan against the current fleet.
     """
     fresh = [r for r in pending if r.server is None]
     if not fresh:
         return
-    window = scenario.plan_window
-    derate = 1.0 - scenario.plan_bandwidth_margin
     # Plan server j is the owned and hired servers in fleet order, then
     # max_new_instances candidates of each priced type.
     known = owned + hired
@@ -512,9 +541,58 @@ def _replan(
         if scenario.types[name].cost > 0
         for _ in range(scenario.max_new_instances)
     ]
+    key = (
+        tuple(s.type.name for s in known),
+        tuple((r.content, r.remaining) for r in fresh),
+        tuple(sorted(recent_counts.items())),
+    )
+    started = time.perf_counter()
+    plan = plans.get(key)
+    reused = plan is not None
+    if plan is None:
+        plan = plans[key] = _solve_window(scenario, kinds, len(owned), fresh, origins,
+                                          recent_counts)
+    untimed, apply = plan
+    record = dataclasses.replace(
+        untimed, t=t, solve_ms=(time.perf_counter() - started) * 1e3, reused=reused
+    )
+    report.replans.append(record)
+
+    # Apply: spawn the new instances the plan serves from and schedule its
+    # replications; idle capacity ages out at billing-slot boundaries.
+    spawned: dict[int, _Server] = {}
+    for k, j in apply:
+        srv = known[j] if j < len(known) else spawned.get(j)
+        if srv is None:
+            srv = spawned[j] = _Server(kinds[j], kinds[j].cost, t + scenario.provisioning_delay)
+            hired.append(srv)
+        if k not in srv.contents:
+            incoming.add((max(t + scenario.replication_delay, srv.available_from), srv, k))
+    record.hires = len(spawned)
+
+
+def _solve_window(
+    scenario: ScenarioConfig,
+    kinds: list[ServerType],
+    n_owned: int,
+    fresh: list[_SimRequest],
+    origins: dict[int, int],
+    recent_counts: dict[int, int],
+) -> _Plan:
+    """Build the window's instance, solve it and return the untimed record
+    with the plan's ``(content, plan server)`` replicas to apply.
+
+    The window's demand is the unstarted pending requests plus a
+    persistence forecast: every later window period is assumed to repeat
+    the most recent bin's arrivals, so the plan sizes the fleet for the
+    stream rather than a one-shot pulse. Only replicas on hirable servers
+    that the plan serves from are kept.
+    """
+    window = scenario.plan_window
+    derate = 1.0 - scenario.plan_bandwidth_margin
     servers = [
         Server(j, OWNED, storage=k.storage, bandwidth=k.bandwidth * derate)
-        if j < len(owned)
+        if j < n_owned
         else Server(j, HIRABLE, storage=k.storage, bandwidth=k.bandwidth * derate, cost=k.cost)
         for j, k in enumerate(kinds)
     ]
@@ -559,7 +637,6 @@ def _replan(
         (len(spread_demand(c.size, 1, scenario.client_bandwidth)) for c in contents),
         default=1,
     )
-    started = time.perf_counter()
     outcome, widened = None, False
     for horizon in (window + size_pad, (window + size_pad) * 4):
         try:
@@ -582,36 +659,25 @@ def _replan(
             # that fails too, the run keeps serving from its current fleet.
             widened = True
     record = ReplanRecord(
-        t=t,
+        t=0,
         requests=len(requests),
         servers=len(servers),
-        solve_ms=(time.perf_counter() - started) * 1e3,
+        solve_ms=0.0,
         widened=widened,
         failed=outcome is None,
     )
-    report.replans.append(record)
     if outcome is None:
-        return
+        return record, ()
     solution, cost, stats = outcome
     record.plan_cost = cost.total
     record.moves_tried = stats["moves_tried"]
     record.moves_screened = stats["moves_screened"]
     record.moves_accepted = stats["moves_accepted"]
-
-    # Apply: spawn the new instances the plan serves from and schedule its
-    # replications; idle capacity ages out at billing-slot boundaries.
     used_plan_sids = {tup.server for tup in solution.tuples if tup.served}
-    spawned: dict[int, _Server] = {}
-    for (k, j, _p) in sorted(solution.replicas):
-        if j < len(owned) or j not in used_plan_sids:
-            continue
-        srv = known[j] if j < len(known) else spawned.get(j)
-        if srv is None:
-            srv = spawned[j] = _Server(kinds[j], kinds[j].cost, t + scenario.provisioning_delay)
-            hired.append(srv)
-        if k not in srv.contents:
-            incoming.add((max(t + scenario.replication_delay, srv.available_from), srv, k))
-    record.hires = len(spawned)
+    apply = dict.fromkeys(
+        (k, j) for (k, j, _p) in sorted(solution.replicas) if j >= n_owned and j in used_plan_sids
+    )
+    return record, tuple(apply)
 
 
 def run_baseline(scenario: ScenarioConfig) -> RunReport:

@@ -101,13 +101,79 @@ def test_one_record_per_replan(reports):
     assert reports["scenario1", "baseline"].replans == []
 
 
+def count_solves(monkeypatch, solve=None):
+    """Route sim.ils_solve through ``solve`` (default: the real one) and
+    return the list that gets one entry per call."""
+    calls = []
+    solve = solve or sim.ils_solve
+
+    def counted(inst, params):
+        calls.append(inst)
+        return solve(inst, params)
+
+    monkeypatch.setattr(sim, "ils_solve", counted)
+    return calls
+
+
+def record_replan_inputs(monkeypatch):
+    """Wrap sim._replan and return the list that gets, for each replan that
+    leaves a record, what its instance reads that changes within a run."""
+    keys = []
+    replan = sim._replan
+
+    def recorded(scenario, t, pending, owned, hired, incoming, origins, report,
+                 recent_counts, plans):
+        key = (
+            tuple(s.type.name for s in owned + hired),
+            tuple((r.content, r.remaining) for r in pending if r.server is None),
+            tuple(sorted(recent_counts.items())),
+        )
+        before = len(report.replans)
+        replan(scenario, t, pending, owned, hired, incoming, origins, report,
+               recent_counts, plans)
+        if len(report.replans) > before:
+            keys.append(key)
+
+    monkeypatch.setattr(sim, "_replan", recorded)
+    return keys
+
+
+def test_each_distinct_replan_is_solved_once(monkeypatch, scenarios, reports):
+    calls = count_solves(monkeypatch)
+    keys = record_replan_inputs(monkeypatch)
+    report = run_pipeline(scenarios["scenario1"])
+    assert without_timings(report) == without_timings(reports["scenario1", "pipeline"])
+    fresh = [r for r in report.replans if not r.reused]
+    assert (len(calls), len(fresh), len(report.replans)) == (30, 30, 43)
+    assert len(keys) == len(report.replans)
+    first = {}
+    for key, record in zip(keys, report.replans):
+        assert record.reused == (key in first)
+        first.setdefault(key, record)
+        # A reused record is the first solve's, but for its time and t.
+        assert dataclasses.replace(record, t=0, solve_ms=0.0, reused=False) == (
+            dataclasses.replace(first[key], t=0, solve_ms=0.0, reused=False)
+        )
+
+
+def test_no_plan_is_shared_between_runs(monkeypatch, scenarios):
+    calls = count_solves(monkeypatch)
+    run_pipeline(scenarios["scenario1"])
+    once = len(calls)
+    run_pipeline(scenarios["scenario1"])
+    assert once > 0 and len(calls) == 2 * once
+
+
 def test_infeasible_replans_keep_the_current_fleet(monkeypatch, scenarios):
     def infeasible(inst, params):
         raise Infeasible("no plan")
 
-    monkeypatch.setattr(sim, "ils_solve", infeasible)
+    calls = count_solves(monkeypatch, infeasible)
+    keys = record_replan_inputs(monkeypatch)
     report = run_pipeline(scenarios["scenario1"])
     assert report.replans
+    # Each failed key was solved once: the window and the widened window.
+    assert len(calls) == 2 * len(set(keys)) == 2 * sum(not r.reused for r in report.replans)
     assert all(r.failed and r.widened and r.plan_cost is None for r in report.replans)
     assert all(r.moves_tried == 0 and r.hires == 0 for r in report.replans)
     assert report.plan_solves == 0
@@ -115,6 +181,27 @@ def test_infeasible_replans_keep_the_current_fleet(monkeypatch, scenarios):
     assert report.total_offered == pytest.approx(
         report.total_attended + report.unserved_bytes, rel=1e-12
     )
+
+
+def test_failed_replan_is_not_solved_again(monkeypatch, scenarios):
+    def infeasible(inst, params):
+        raise Infeasible("no plan")
+
+    calls = count_solves(monkeypatch, infeasible)
+    scenario = scenarios["scenario1"]
+    large = scenario.types[scenario.owned_type]
+    owned = [sim._Server(large, scenario.owned_billing, 0, frozenset({0, 1, 2}))] * 2
+    report = sim.RunReport("pipeline", "none", scenario.seed)
+    plans = {}
+    for t in (10, 15):
+        pending = [sim._SimRequest(2, 900.0), sim._SimRequest(0, 1900.0)]
+        sim._replan(scenario, t, pending, owned, [], set(), {0: 0, 1: 1, 2: 0}, report,
+                    {2: 3}, plans)
+    assert len(calls) == 2 and len(plans) == 1
+    first, again = report.replans
+    assert first.failed and first.widened and not first.reused
+    assert again.reused and again.t == 15
+    assert dataclasses.replace(again, t=10, solve_ms=first.solve_ms, reused=False) == first
 
 
 def edited_scenario1(tmp_path, key, value=None):
@@ -175,6 +262,10 @@ def edited_scenario1(tmp_path, key, value=None):
         ("warmup", "-1"),
         ("gap_merge", "-5"),
         ("generator", None),
+        ("iters", "-1"),
+        ("levels", "-1"),
+        ("ils.d", "0"),
+        ("swap_frac", "2"),
     ],
 )
 def test_bad_scenario_values_rejected_at_load(tmp_path, key, value):
@@ -205,11 +296,34 @@ def test_server_type_missing_field_is_named(tmp_path, value, missing):
         ("penalty", "x", "[demand] penalty: bad number 'x'"),
         ("replan_interval", "five", "[scenario] replan_interval: bad number 'five'"),
         ("detector.w", "x", "[detector] w: bad number 'x'"),
+        ("iters", "-1", "[ils] iters: iter_max must be >= 1"),
+        ("levels", "-1", "[ils] levels: level_max must be >= 0"),
+        ("ils.d", "0", "[ils] d: d must be nonzero"),
+        ("swap_frac", "2", "[ils] swap_frac: swap_sample_fraction in (0, 1]"),
     ],
 )
 def test_bad_number_names_its_key(tmp_path, key, value, named):
     with pytest.raises(ScenarioInvalid, match=f"^{re.escape(named)}$"):
         read_scenario(edited_scenario1(tmp_path, key, value))
+
+
+@pytest.mark.parametrize(
+    "line,edited,named",
+    [
+        ("u_max = 4", "u_max = x", "[content.0] u_max: bad number 'x'"),
+        ("alpha0 = 0.6", "alpha0 = low", "[content.2] alpha0: bad number 'low'"),
+        ("horizon = 330", "horizon = long", "[generator] horizon: bad number 'long'"),
+        ("[content.1]", "[content.one]", "[content.one] section id: bad number 'one'"),
+        ("up:100:150:0.06", "up:100:end:0.06", "[content.2] phases: bad number 'end'"),
+        ("u_max = 4\n", "", "missing key 'u_max' in [content.0]"),
+    ],
+)
+def test_bad_generator_number_names_file_section_and_key(tmp_path, line, edited, named):
+    path = scenario1_ini(tmp_path)
+    gen = tmp_path / "gen.ini"
+    gen.write_text(gen.read_text().replace(line, edited, 1))
+    with pytest.raises(ScenarioInvalid, match=f"^{re.escape(f'{gen}: {named}')}$"):
+        read_scenario(str(path))
 
 
 @pytest.mark.parametrize("key", ["client_bandwidth", "owned", "types", "vm_type"])
