@@ -61,10 +61,30 @@ def test_empty_fleet_with_no_demand_stays_empty(tmp_path):
     assert report.total_cost == 0.0
 
 
+def test_empty_fleet_under_load_scales_out(tmp_path):
+    # Any load overloads an empty fleet; the one instance idles out again.
+    report = replay(tmp_path, [0, 5, 0, 0], min=0, lb_cost=0.0)
+    fleet = [(r.hired_active, r.hired_pending) for r in report.rows]
+    assert fleet == [(0, 0), (0, 1), (1, 0), (0, 0)]
+
+
 def test_exactly_at_threshold_no_scale_out(tmp_path):
     report = replay(tmp_path, [14, 0])  # 14 / (2 * 10) is the threshold itself
     first = report.rows[0]
     assert first.hired_pending == 0 and first.hired_active == 2
+
+
+def test_exactly_at_half_threshold_no_scale_in(tmp_path):
+    # 7 / (2 * 10) is half the threshold: the fleet keeps its size; 6 is below.
+    report = replay(tmp_path, [8, 7, 6], min=1)
+    assert [(r.hired_active, r.hired_pending) for r in report.rows] == [(1, 1), (2, 0), (1, 0)]
+
+
+def test_no_scale_in_while_provisioning(tmp_path):
+    # Idle from period 3 on, but the fleet shrinks only once nothing is pending.
+    report = replay(tmp_path, [30, 0, 0, 0, 0, 0], min=1, max=3, provisioning_delay=3)
+    fleet = [(r.hired_active, r.hired_pending) for r in report.rows]
+    assert fleet == [(1, 1), (1, 2), (1, 2), (2, 1), (2, 0), (1, 0)]
 
 
 def test_above_threshold_scales_out_after_delay(tmp_path):
