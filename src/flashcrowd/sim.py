@@ -6,8 +6,8 @@ local-search solver and applies the resulting hires (after the
 provisioning delay) and content replications (after the replication
 delay). If neither the window nor its widened retry has a feasible plan,
 the run keeps serving from its current fleet and records the failed
-re-plan. The baseline run pushes the same byte demand through the
-threshold-autoscaling fleet.
+re-plan. The baseline run pushes the same byte demand through a
+homogeneous threshold-autoscaling fleet behind a load balancer.
 
 The pipeline's fleet is one list of servers in a fixed order: the owned
 servers (which hold every content and are always available), then the
@@ -35,7 +35,6 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .baseline import AsPolicyConfig, new_fleet, step as baseline_step
 from .detector import Detector, FlagConfig
 from .generator import GeneratorConfig, generate, read_generator_config
 from .ils import IlsParams, solve as ils_solve
@@ -119,6 +118,8 @@ class ScenarioConfig:
             raise ScenarioInvalid("client bandwidth must be positive")
         if self.detector_w < 1:
             raise ScenarioInvalid("detector window must be >= 1")
+        if self.flag_cfg.m < 1:
+            raise ScenarioInvalid("detector m must be >= 1")
         if self.flag_cfg.warmup < 0 or self.flag_cfg.merge_gap < 0:
             raise ScenarioInvalid("detector warmup and gap_merge must be >= 0")
         if not 0.0 < self.as_threshold < 1.0:
@@ -127,6 +128,8 @@ class ScenarioConfig:
             raise ScenarioInvalid("autoscaling bounds need 0 <= min <= max")
         if self.as_cooldown < 0:
             raise ScenarioInvalid("autoscaling cooldown must be >= 0")
+        if self.lb_cost is not None and self.lb_cost < 0.0:
+            raise ScenarioInvalid("autoscaling lb_cost must be >= 0")
         if self.default_size <= 0.0 or any(size <= 0.0 for size in self.sizes.values()):
             raise ScenarioInvalid("content sizes must be positive")
         if min(self.copy_cost, self.attend_cost, self.penalty) < 0.0:
@@ -681,19 +684,20 @@ def _solve_window(
 
 
 def run_baseline(scenario: ScenarioConfig) -> RunReport:
+    """Replay the trace's byte demand through threshold autoscaling.
+
+    Models the commercial setup used as comparison: a homogeneous fleet of
+    ``[autoscaling] vm_type`` instances, every instance holding all contents
+    behind a load balancer that splits demand evenly. One instance is added
+    when aggregate bandwidth utilization exceeds the threshold (strict) and
+    removed below half of it, one step per cooldown, new instances usable
+    only after the provisioning delay. Billing charges every active instance
+    per billing slot, plus the load balancer itself (``lb_cost``, by default
+    one instance's price).
+    """
     trace, report = _start(scenario, "baseline")
     vm = scenario.types[scenario.autoscaling_vm]
-    cfg = AsPolicyConfig(
-        vm_type=Server(0, HIRABLE, storage=vm.storage, bandwidth=vm.bandwidth, cost=vm.cost),
-        scale_out_threshold=scenario.as_threshold,
-        cooldown=scenario.as_cooldown,
-        min_instances=scenario.as_min,
-        max_instances=scenario.as_max,
-        lb_cost=scenario.lb_cost,
-        provisioning_delay=scenario.provisioning_delay,
-        billing_granularity=scenario.billing_granularity,
-    )
-    fleet = new_fleet(cfg)
+    balancer = vm.cost if scenario.lb_cost is None else scenario.lb_cost
     # On-time per-period demand: each access due at min(client bandwidth,
     # remaining) per period from its arrival bin, like the planning model.
     # Demand that falls due after the last bin is never offered to the
@@ -713,21 +717,58 @@ def run_baseline(scenario: ScenarioConfig) -> RunReport:
                     due[t0 + dt] += count * amount
                 else:
                     late += count * amount
+
+    active = scenario.as_min
+    pending: list[int] = []  # activation periods of provisioning instances
+    cooldown_until = billed_slot = 0  # billed_slot: the last slot charged
+    backlog = 0.0
     for t in range(1, trace.horizon + 1):
-        res = baseline_step(fleet, due[t])
+        # Pending instances whose provisioning finished join the fleet.
+        ready = [p for p in pending if p <= t]
+        pending = [p for p in pending if p > t]
+        active = min(active + len(ready), scenario.as_max)
+
+        offered = due[t] + backlog
+        capacity = active * vm.bandwidth
+        attended = min(offered, capacity)
+        backlog = offered - attended
+        if capacity > 0:
+            utilization = offered / capacity
+        else:  # an empty fleet is overloaded by any load and idle without one
+            utilization = float("inf") if offered > 0 else 0.0
+
+        if t >= cooldown_until:
+            if utilization > scenario.as_threshold and active + len(pending) < scenario.as_max:
+                pending.append(t + scenario.provisioning_delay)
+                cooldown_until = t + scenario.as_cooldown
+            elif (
+                utilization < scenario.as_threshold / 2
+                and active > scenario.as_min
+                and not pending
+            ):
+                active -= 1
+                cooldown_until = t + scenario.as_cooldown
+
+        slot = max(1, -(-t // scenario.billing_granularity))
+        if slot != billed_slot:
+            billed_slot = slot
+            cost_delta = balancer + active * vm.cost
+        else:
+            # Instances that joined mid-slot are billed on arrival.
+            cost_delta = len(ready) * vm.cost
         _record(report, PeriodRow(
             period=t,
             offered=due[t],
-            attended=res.attended,
-            backlog=res.backlogged,
+            attended=attended,
+            backlog=backlog,
             owned=0,
-            hired_active=res.active,
-            hired_pending=res.pending,
-            cost_delta=res.cost_delta,
-            cost_total=fleet.cumulative_cost,
+            hired_active=active,
+            hired_pending=len(pending),
+            cost_delta=cost_delta,
+            cost_total=report.total_cost + cost_delta,
             detector_ms=0.0,
         ), arrivals[t])
-    report.unserved_bytes = fleet.backlog + late
+    report.unserved_bytes = backlog + late
     return report
 
 

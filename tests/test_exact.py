@@ -108,7 +108,7 @@ def test_too_large_guard():
 def test_oracle_is_minimal_over_random_feasible_solutions():
     # Independent check: the oracle's optimum lower-bounds randomized
     # feasible solutions produced by a naive construction.
-    from flashcrowd.ils import IlsParams, constructive_phase
+    from flashcrowd.ils import constructive_phase
 
     rng = random.Random(5)
     found = 0

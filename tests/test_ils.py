@@ -31,7 +31,7 @@ from flashcrowd.model import (
     evaluate,
 )
 
-from util_instances import random_midsize_instance, random_tiny_instance, tiny_instance_o1
+from util_instances import random_midsize_instance, tiny_instance_o1
 
 
 def every_move(plan, kind, d=1, rng=None):

@@ -67,3 +67,24 @@ def test_every_public_name_has_a_reference():
     unused = sorted({name for name in public
                      if not name.startswith("_") and words[name] <= definitions[name]})
     assert unused == []
+
+
+def test_every_import_is_used():
+    # A name that a module imports and never mentions outside its import
+    # statements is a dependency that nothing needs.
+    unused = []
+    for path in sorted([*SRC.rglob("*.py"), *(ROOT / "tests").rglob("*.py")]):
+        text = path.read_text()
+        imports = [node for node in ast.walk(ast.parse(text))
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        lines = text.splitlines()
+        for node in imports:
+            lines[node.lineno - 1:node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+        words = collections.Counter(re.findall(r"\w+", "\n".join(lines)))
+        for node in imports:
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if not words[name]:
+                    unused.append(f"{path.relative_to(ROOT)}: {name}")
+    assert unused == [], unused

@@ -206,13 +206,16 @@ def test_failed_replan_is_not_solved_again(monkeypatch, scenarios):
 
 def edited_scenario1(tmp_path, key, value=None):
     """The scenario1 fixture with the line of ``key`` set to ``value``, or
-    deleted when value is None; "section.key" edits the key in that section."""
+    deleted when value is None; "section.key" edits the key in that section,
+    and adds it there when the fixture does not set it."""
     path = scenario1_ini(tmp_path)
     lines = path.read_text().splitlines()
     section, _, key = key.rpartition(".")
     start = lines.index(f"[{section}]") if section else 0
-    at = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} = "))
-    if value is None:
+    at = next((i for i in range(start, len(lines)) if lines[i].startswith(f"{key} = ")), None)
+    if at is None:
+        lines.insert(start + 1, f"{key} = {value}")
+    elif value is None:
         del lines[at]
     else:
         lines[at] = f"{key} = {value}"
@@ -235,6 +238,7 @@ def edited_scenario1(tmp_path, key, value=None):
         ("autoscaling.max", "0"),
         ("autoscaling.min", "-1"),
         ("autoscaling.cooldown", "-1"),
+        ("autoscaling.lb_cost", "-1"),
         ("sizes", "0:-1900,1:1500,2:900"),
         ("sizes", "0:1900,1:0,2:900"),
         ("default_size", "0"),
@@ -261,6 +265,8 @@ def edited_scenario1(tmp_path, key, value=None):
         ("detector.w", "x"),
         ("warmup", "-1"),
         ("gap_merge", "-5"),
+        ("detector.m", "0"),
+        ("detector.m", "-2"),
         ("generator", None),
         ("iters", "-1"),
         ("levels", "-1"),
@@ -300,6 +306,8 @@ def test_server_type_missing_field_is_named(tmp_path, value, missing):
         ("levels", "-1", "[ils] levels: level_max must be >= 0"),
         ("ils.d", "0", "[ils] d: d must be nonzero"),
         ("swap_frac", "2", "[ils] swap_frac: swap_sample_fraction in (0, 1]"),
+        ("detector.m", "-2", "detector m must be >= 1"),
+        ("autoscaling.lb_cost", "-0.5", "autoscaling lb_cost must be >= 0"),
     ],
 )
 def test_bad_number_names_its_key(tmp_path, key, value, named):

@@ -1,6 +1,5 @@
 import dataclasses
 import logging
-import math
 
 import pytest
 from hypothesis import given, settings
