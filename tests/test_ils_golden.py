@@ -20,7 +20,7 @@ from util_instances import random_midsize_instance
 
 PATH = pathlib.Path(__file__).parent / "data" / "ils_golden.json"
 CASES = ((0, 0), (4, 1), (5, 0), (7, 1), (8, 0), (11, 1))
-PINNED = ("moves_tried", "moves_accepted", "perturbations")
+PINNED = ("moves_tried", "moves_accepted", "moves_screened", "moves_failed", "perturbations")
 
 
 def search(instance_seed: int, search_seed: int) -> dict:
