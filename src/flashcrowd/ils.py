@@ -15,18 +15,24 @@ improves. Perturbation applies level + 1 random feasible moves from
 {Shift, Swap, Split, Merge}.
 
 How a candidate is judged: each neighborhood has one candidate list in
-search order (``candidates``); descent screens it entry by entry, and
+search order (``candidates``); descent walks it in one loop, and
 perturbation draws one entry and builds only that move. Shift, split, merge
 and d-delay each move slices of one source event to one target (server,
-period). The screen terms that do not depend on the target are read once per
-source, and each target is checked against them for range, fresh key and the
-cost bound below, adding the terms in ``cannot_improve``'s order, so the
-check rejects exactly what ``cannot_improve`` would reject on those grounds.
-A move is built only for a surviving target, and then only its bandwidth is
-checked. Swap, which moves two events, is sampled without building the pair
-list, and each sampled swap goes whole through ``cannot_improve``, which
-screens a move without touching the plan. It flags moves that would
-certainly fail (an existing fresh destination event, a period outside
+period); swap exchanges the servers of two events. Every event has a
+``_Source`` holding its sorted slices and the screen terms that do not
+depend on the target, read once. The plan caches the sources of its live
+events across passes: each is stamped with the counters of its (content,
+server) and (server, billing slot), which place and unplace bump and a
+rollback restores, so a source is reused until its event, its replica
+windows or its hire slot change. A one-source candidate is checked against
+its source's terms for range, fresh key and cost bound; a swap is checked
+against both events' terms for fresh keys and cost bound (it keeps every
+period). Both add the terms in ``cannot_improve``'s order, so each rejects
+exactly what ``cannot_improve`` would reject on those grounds. A move is
+built only for a survivor, and then only its bandwidth is checked.
+``cannot_improve``, which screens a built move without touching the plan,
+stays as the reference that tests hold the screens to. It flags moves that
+would certainly fail (an existing fresh destination event, a period outside
 [arrival, horizon], bandwidth exceeded well beyond place's tolerance) and
 moves whose cost delta has a lower bound >= 0.0. The bound is the exact
 backlog, attendance and hire delta (penalty prefix sums, x_count and z_count
@@ -43,6 +49,8 @@ screening changes no search outcome.
 
 from __future__ import annotations
 
+import itertools
+import logging
 import math
 import random
 import time
@@ -60,6 +68,8 @@ from .model import (
     Solution,
     evaluate,
 )
+
+logger = logging.getLogger(__name__)
 
 EPS = 1e-9
 
@@ -142,6 +152,7 @@ class OperationalPlan:
             self._pen[r.id] = acc
         # Billing slot of each period 0..horizon + 1.
         self.slot = [inst.slot_of(t) for t in range(tf + 2)]
+        self._init_screen_cache()
         # Origin replicas are pinned for the whole content lifetime.
         for c in inst.contents:
             w = _Window(c.start, tf + 1, origin=True)
@@ -153,6 +164,26 @@ class OperationalPlan:
                 raise Infeasible(
                     f"origin server {c.origin} cannot store its own contents"
                 )
+
+    def _init_screen_cache(self) -> None:
+        # Screen sources of live events (``source``), each valid while the
+        # stamps it was built under hold. place and unplace bump the stamp of
+        # the (content, server) they change, and on a hirable server that of
+        # its (server, billing slot); apply_move's undo record restores both
+        # stamp tables and the cache with the plan.
+        self.sources: dict[tuple[int, int, int], _Source] = {}
+        self.kj_stamp: dict[tuple[int, int], int] = {}
+        self.slot_stamp: dict[tuple[int, int], int] = {}
+        self._ticks = itertools.count(1)
+
+    def source(self, key: tuple[int, int, int]) -> "_Source":
+        """The screen source of live event ``key``, cached across passes."""
+        k, j, t = key
+        stamps = (self.kj_stamp.get((k, j), 0), self.slot_stamp.get((j, self.slot[t]), 0))
+        src = self.sources.get(key)
+        if src is None or src.stamps != stamps:
+            src = self.sources[key] = _Source(key, sorted(self.events[key]), stamps)
+        return src
 
     # -- cost helpers -----------------------------------------------------
 
@@ -287,6 +318,7 @@ class OperationalPlan:
             # All uses precede lo, so truncating to lo keeps them intact.
             self._occupy(j, -self.inst.content_by_id[k2].size, lo, w.end)
             w.end = lo
+            self.kj_stamp[(k2, j)] = next(self._ticks)
         return True
 
     # -- placement primitives ----------------------------------------------
@@ -311,6 +343,7 @@ class OperationalPlan:
         self._ensure_window(k, j, t, allow_evict=allow_evict)
         self.placements[(req, o)] = (j, t)
         self.events.setdefault((k, j, t), set()).add((req, o))
+        self.kj_stamp[(k, j)] = next(self._ticks)
         self.bw_used[(j, t)] = self.bw_used.get((j, t), 0.0) + amount
         self.client_used[(req, t)] = self.client_used.get((req, t), 0.0) + amount
         self.backlog_cost += self._delay_cost(req, o, t, amount)
@@ -320,6 +353,7 @@ class OperationalPlan:
             self.attend_cost += inst.request_by_id[req].attend_cost
         if srv.kind == HIRABLE:
             zkey = (j, self.slot[t])
+            self.slot_stamp[zkey] = next(self._ticks)
             self.z_count[zkey] = self.z_count.get(zkey, 0) + 1
             if self.z_count[zkey] == 1:
                 self.fin_cost += srv.cost / self.m
@@ -334,6 +368,8 @@ class OperationalPlan:
         ev.discard((req, o))
         if not ev:
             del self.events[(k, j, t)]
+            self.sources.pop((k, j, t), None)
+        self.kj_stamp[(k, j)] = next(self._ticks)
         self.bw_used[(j, t)] -= amount
         self.client_used[(req, t)] -= amount
         self.backlog_cost -= self._delay_cost(req, o, t, amount)
@@ -345,6 +381,7 @@ class OperationalPlan:
         srv = inst.server_by_id[j]
         if srv.kind == HIRABLE:
             zkey = (j, self.slot[t])
+            self.slot_stamp[zkey] = next(self._ticks)
             self.z_count[zkey] -= 1
             if self.z_count[zkey] == 0:
                 del self.z_count[zkey]
@@ -371,6 +408,7 @@ class OperationalPlan:
         new.fin_cost = self.fin_cost
         new._pen = self._pen
         new.slot = self.slot
+        new._init_screen_cache()
         return new
 
     def cost_snapshot(self) -> tuple[float, float, float, float]:
@@ -463,7 +501,8 @@ def _undo_entries(plan: OperationalPlan, move: Move) -> list[tuple[dict, object,
     Moves never evict, so a relocation from (j, t) to (j2, t2) touches only
     its slice's placement and, at both ends, the event, bandwidth, client,
     attendance and hire entries, the content's windows and the server's
-    storage column.
+    storage column, and with them the event's cached screen source and the
+    stamps of its (content, server) and (server, slot).
     """
     inst = plan.inst
     slot = plan.slot
@@ -491,6 +530,9 @@ def _undo_entries(plan: OperationalPlan, move: Move) -> list[tuple[dict, object,
         (plan.z_count, zs, None),
         (plan.windows, windows, lambda wins: [w.copy() for w in wins]),
         (plan.occ, servers, list),
+        (plan.sources, events, None),
+        (plan.kj_stamp, windows, None),
+        (plan.slot_stamp, zs, None),
     ):
         for key in table_keys:
             value = table.get(key, _ABSENT)
@@ -653,6 +695,9 @@ class _Source:
     screen terms of moving them that hold for every target: attendance that
     ends, and the hire and copy refunds. The terms are read on the first
     ``rejects``, so listing candidates for a perturbation draw reads none.
+    The plan caches each live event's source under the stamps it was built
+    with (``OperationalPlan.source``), together with its per-request
+    ``parts``, so the slices and terms last while the event is unchanged.
 
     ``rejects`` adds each target's terms in the order ``cannot_improve``
     adds them, so it returns True exactly when ``cannot_improve`` would
@@ -660,12 +705,26 @@ class _Source:
     few lookups and without building the move.
     """
 
-    __slots__ = ("key", "slices", "reqs", "hire_refund", "copy_refund")
+    __slots__ = ("key", "slices", "stamps", "_parts", "reqs", "hire_refund", "copy_refund")
 
-    def __init__(self, key, slices: list[tuple[int, int]]) -> None:
+    def __init__(self, key, slices: list[tuple[int, int]], stamps=None) -> None:
         self.key = key
         self.slices = slices
+        self.stamps = stamps
+        self._parts = None
         self.reqs = None
+
+    def parts(self) -> list["_Source"]:
+        """One source per request of a shared event, in request order; none
+        for an event of one request."""
+        if self._parts is None:
+            by_req: dict[int, list[tuple[int, int]]] = {}
+            for sl in self.slices:
+                by_req.setdefault(sl[0], []).append(sl)
+            self._parts = []
+            if len(by_req) > 1:
+                self._parts = [_Source(self.key, sls) for sls in by_req.values()]
+        return self._parts
 
     def _read_terms(self, plan: OperationalPlan) -> None:
         inst = plan.inst
@@ -721,11 +780,62 @@ class _Source:
         return bound - self.copy_refund >= 0.0
 
 
+def _swap_rejects(plan: OperationalPlan, pair) -> bool:
+    """True exactly when ``cannot_improve`` would reject the swap of the two
+    events of ``pair`` for its fresh keys or its cost bound; the bandwidth
+    half is ``_exceeds_bandwidth``'s, on the built move.
+
+    A swap keeps every slice's period, so its range always holds and each of
+    its backlog terms is 0.0. The other terms come from the two events'
+    cached sources, added in ``cannot_improve``'s order: attendance per
+    request of a, then of b, then the hire of each (server, slot) whose
+    count starts or ends, then a's and b's copy refunds. Each request's
+    attendance ends at its source and starts at its fresh target, two
+    adjacent terms that cancel exactly. Where a and b share their content
+    and period, a request in both keeps a count at each server and adds no
+    term to ``cannot_improve``'s sum, but its pair here adds 0.0 to a sum
+    that is 0.0, so the two floats still agree.
+    """
+    a, b = plan.source(pair[0]), plan.source(pair[1])
+    (ka, ja, ta), (kb, jb, tb) = a.key, b.key
+    events = plan.events
+    fresh_a, fresh_b = (ka, jb, ta), (kb, ja, tb)
+    if (fresh_a in events and fresh_a != b.key) or (fresh_b in events and fresh_b != a.key):
+        return True
+    if a.reqs is None:
+        a._read_terms(plan)
+    if b.reqs is None:
+        b._read_terms(plan)
+    bound = 0.0
+    for src in (a, b):
+        for _req, ends, attend in src.reqs:
+            if ends:
+                bound -= attend
+            bound += attend
+    servers = plan.inst.server_by_id
+    slot = plan.slot
+    na, nb = len(a.slices), len(b.slices)
+    z_delta: dict[tuple[int, int], int] = {}
+    for j, t, d in ((ja, ta, -na), (jb, ta, na), (jb, tb, -nb), (ja, tb, nb)):
+        if servers[j].kind == HIRABLE:
+            key = (j, slot[t])
+            z_delta[key] = z_delta.get(key, 0) + d
+    z_count = plan.z_count
+    for key, d in z_delta.items():
+        if d:
+            before = z_count.get(key, 0)
+            if before == 0:
+                bound += servers[key[0]].cost / plan.m
+            elif before + d == 0:
+                bound -= servers[key[0]].cost / plan.m
+    return bound - a.copy_refund - b.copy_refund >= 0.0
+
+
 def _shift_targets(plan: OperationalPlan):
     """Every event to every other server."""
     server_ids = sorted(plan.inst.server_by_id)
     for key in sorted(plan.events):
-        src = _Source(key, sorted(plan.events[key]))
+        src = plan.source(key)
         for j2 in server_ids:
             if j2 != key[1]:
                 yield src, j2, key[2]
@@ -735,12 +845,7 @@ def _split_targets(plan: OperationalPlan):
     """One request's slices of a shared event to every other server."""
     server_ids = sorted(plan.inst.server_by_id)
     for key in sorted(plan.events):
-        slices = sorted(plan.events[key])
-        reqs = sorted({req for req, _o in slices})
-        if len(reqs) < 2:
-            continue
-        for req in reqs:
-            src = _Source(key, [sl for sl in slices if sl[0] == req])
+        for src in plan.source(key).parts():
             for j2 in server_ids:
                 if j2 != key[1]:
                     yield src, j2, key[2]
@@ -754,7 +859,7 @@ def _merge_targets(plan: OperationalPlan):
     for _kt, group in sorted(groups.items()):
         if len(group) < 2:
             continue
-        srcs = [_Source(key, sorted(plan.events[key])) for key in group]
+        srcs = [plan.source(key) for key in group]
         for i, a in enumerate(srcs):
             for b in srcs[i + 1 :]:
                 yield b, a.key[1], a.key[2]
@@ -768,7 +873,7 @@ def _delay_targets(plan: OperationalPlan, d: int):
         k, j, t = key
         periods = [t2 for t2 in (t + d, t - d) if 1 <= t2 <= tf]
         if periods:
-            src = _Source(key, sorted(plan.events[key]))
+            src = plan.source(key)
             for t2 in periods:
                 yield src, j, t2
 
@@ -841,30 +946,9 @@ def _move(plan: OperationalPlan, name: str, candidate) -> Move:
         return Move(name, tuple((sl, (j2, t2)) for sl in src.slices), fresh_keys=fresh)
     a, b = candidate
     (ka, ja, ta), (kb, jb, tb) = a, b
-    reloc = [(sl, (jb, ta)) for sl in sorted(plan.events[a])]
-    reloc += [(sl, (ja, tb)) for sl in sorted(plan.events[b])]
+    reloc = [(sl, (jb, ta)) for sl in plan.source(a).slices]
+    reloc += [(sl, (ja, tb)) for sl in plan.source(b).slices]
     return Move("swap", tuple(reloc), fresh_keys=((ka, jb, ta), (kb, ja, tb)))
-
-
-def _screened(plan: OperationalPlan, name: str, cands):
-    """Each candidate's move, or None where it cannot improve.
-
-    A one-source candidate that its source's terms pass goes only through
-    the bandwidth half of ``cannot_improve``: the terms have already decided
-    its range, fresh key and bound as ``cannot_improve`` would.
-    """
-    if name == "swap":
-        for pair in cands:
-            move = _move(plan, name, pair)
-            yield None if cannot_improve(plan, move) else move
-        return
-    fresh = name != "merge"
-    for src, j2, t2 in cands:
-        if src.rejects(plan, j2, t2, fresh):
-            yield None
-        else:
-            move = _move(plan, name, (src, j2, t2))
-            yield None if _exceeds_bandwidth(plan, move) else move
 
 
 # ---------------------------------------------------------------------------
@@ -934,32 +1018,55 @@ def rvnd(
     params: IlsParams,
     stats: SearchStats | None = None,
 ) -> OperationalPlan:
-    """First-improvement descent over randomly ordered neighborhoods."""
+    """First-improvement descent over randomly ordered neighborhoods.
+
+    Each pass walks one neighborhood's candidates in search order. A
+    candidate that its screen rejects (``_Source.rejects`` or
+    ``_swap_rejects``, then ``_exceeds_bandwidth`` on the built move) is
+    counted as screened; any other is applied, and kept only if it improves.
+    """
     stats = stats if stats is not None else SearchStats()
     active = list(NEIGHBORHOODS)
+    passes = tried = screened = failed = accepted = 0
     while active:
         name = active[rng.randrange(len(active))]
-        moves = _screened(plan, name, candidates(plan, name, rng, params))
-        stats.rvnd_passes += 1
+        passes += 1
+        swap = name == "swap"
+        fresh = name != "merge"
         improved = False
-        for move in moves:
-            stats.moves_tried += 1
-            if move is None:
-                stats.moves_screened += 1
+        for cand in candidates(plan, name, rng, params):
+            tried += 1
+            if swap:
+                if _swap_rejects(plan, cand):
+                    screened += 1
+                    continue
+            else:
+                src, j2, t2 = cand
+                if src.rejects(plan, j2, t2, fresh):
+                    screened += 1
+                    continue
+            move = _move(plan, name, cand)
+            if _exceeds_bandwidth(plan, move):
+                screened += 1
                 continue
             applied = apply_move(plan, move)
             if applied is None:
-                stats.moves_failed += 1
-                continue
-            if applied.delta < -EPS:
-                stats.moves_accepted += 1
+                failed += 1
+            elif applied.delta < -EPS:
+                accepted += 1
                 improved = True
                 break
-            revert_move(plan, applied)
+            else:
+                revert_move(plan, applied)
         if improved:
             active = list(NEIGHBORHOODS)
         else:
             active.remove(name)
+    stats.rvnd_passes += passes
+    stats.moves_tried += tried
+    stats.moves_screened += screened
+    stats.moves_failed += failed
+    stats.moves_accepted += accepted
     return plan
 
 
@@ -1019,5 +1126,6 @@ def solve(
             best_plan = plan
     assert best_plan is not None
     stats.wall_time = time.perf_counter() - started
+    logger.debug("ils.solve: cost %.9g, %s", best_cost, stats)
     solution = best_plan.to_solution()
     return solution, evaluate(inst, solution), stats.as_dict()

@@ -44,6 +44,7 @@ the variable emission rules above rather than by rows.
 
 from __future__ import annotations
 
+import logging
 import re
 from dataclasses import dataclass
 
@@ -61,6 +62,8 @@ from .model import (
     TooLarge,
     evaluate,
 )
+
+logger = logging.getLogger(__name__)
 
 # build_model raises TooLarge when |R||S||T|^2, about twice the number of
 # slice variables s, exceeds this.
@@ -527,6 +530,11 @@ def solve_exact(
     Raises TooLarge above the model size cap, Infeasible when no solution
     exists, and RuntimeError on any other solver failure.
     """
-    _objective, values = solve_model(build_model(instance, mode))
+    model = build_model(instance, mode)
+    objective, values = solve_model(model)
     solution = assignment_to_solution(instance, values)
+    logger.debug(
+        "solve_exact (%s): objective %.9g, %d binaries, %d continuous, %d rows",
+        mode, objective, len(model.binaries), len(model.continuous), len(model.rows),
+    )
     return solution, evaluate(instance, solution)

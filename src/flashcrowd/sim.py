@@ -22,8 +22,12 @@ instances and excess capacity idles out.
 
 Every active server is billed once per billing slot at its price (owned
 servers at the configured base price, so the two policies share the same
-base-fleet cost, hired instances at their type's price), and both runs
-produce reports with identical per-period schemas for comparison.
+base-fleet cost, hired instances at their type's price). Both runs report
+one ``PeriodRow`` per period with the same columns, but ``offered`` does not
+mean the same in both: the pipeline offers every pending request's budget,
+carried requests included, while the baseline reports only the bytes newly
+due in the period (its carried backlog comes on top). Compare the two runs'
+totals, or their rows column by column with that in mind.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -49,6 +54,8 @@ from .model import (
     Server,
 )
 from .trace import BinnedTrace, read_csv_trace
+
+logger = logging.getLogger(__name__)
 
 
 class ScenarioInvalid(ValueError):
@@ -277,6 +284,17 @@ def read_scenario(path: str) -> ScenarioConfig:
 
 @dataclass
 class PeriodRow:
+    """One period of a replay.
+
+    ``offered`` depends on the policy. Under ``run_pipeline`` it is the sum
+    of every pending request's budget for the period (client bandwidth or
+    what remains, whichever is less), requests carried from earlier periods
+    included, and ``backlog`` is ``offered - attended``. Under
+    ``run_baseline`` it is the bytes newly due in the period; the policy
+    serves those plus the backlog carried in, and ``backlog`` is what is
+    left of both.
+    """
+
     period: int
     offered: float
     attended: float
@@ -560,6 +578,11 @@ def _replan(
         untimed, t=t, solve_ms=(time.perf_counter() - started) * 1e3, reused=reused
     )
     report.replans.append(record)
+    logger.debug(
+        "replan at %d: %s, %d requests on %d servers, failed %s, plan cost %s",
+        t, "key reused" if reused else "solved", record.requests, record.servers,
+        record.failed, record.plan_cost,
+    )
 
     # Apply: spawn the new instances the plan serves from and schedule its
     # replications; idle capacity ages out at billing-slot boundaries.
@@ -726,7 +749,7 @@ def run_baseline(scenario: ScenarioConfig) -> RunReport:
         # Pending instances whose provisioning finished join the fleet.
         ready = [p for p in pending if p <= t]
         pending = [p for p in pending if p > t]
-        active = min(active + len(ready), scenario.as_max)
+        active += len(ready)
 
         offered = due[t] + backlog
         capacity = active * vm.bandwidth

@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -93,6 +94,13 @@ def test_owned_coverage_hires_nothing():
     assert sol.hires == set()
     assert cost.financial_normalized == 0.0
     assert cost.total == 2.0
+
+
+def test_each_solve_logs_one_debug_record(caplog):
+    with caplog.at_level(logging.DEBUG, logger="flashcrowd.lpio"):
+        solve_exact(tiny_instance_o1(), "literal")
+        solve_exact(tiny_instance_o1(), "corrected")
+    assert [r.name for r in caplog.records] == ["flashcrowd.lpio"] * 2
 
 
 def test_infeasible_reported():

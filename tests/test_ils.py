@@ -169,8 +169,9 @@ class TestRvnd:
         before = plan.total_cost()
         merges = [
             mv
-            for mv in ils._screened(plan, "merge", candidates(plan, "merge", None, IlsParams()))
-            if mv is not None and all(dest[0] == 1 for _sl, dest in mv.relocations)
+            for mv, rejects in screened(plan, "merge")
+            if not rejects and not ils._exceeds_bandwidth(plan, mv)
+            and all(dest[0] == 1 for _sl, dest in mv.relocations)
         ]
         assert merges
         applied = apply_move(plan, merges[0])
@@ -305,8 +306,6 @@ class TestScreen:
             before = plan_state(plan)
             for kind, d in (("shift", 1), ("split", 1), ("merge", 1), ("ddelay", 1), ("ddelay", 2)):
                 cases = screened(plan, kind, d)
-                moves = ils._screened(plan, kind, candidates(plan, kind, None, IlsParams(d=d)))
-                assert list(moves) == [None if cannot_improve(plan, mv) else mv for mv, _r in cases]
                 for move, rejects in cases:
                     assert (rejects or ils._exceeds_bandwidth(plan, move)) == cannot_improve(
                         plan, move
@@ -322,12 +321,110 @@ class TestScreen:
                     assert plan_state(plan) == before
         assert rejected >= 1000 and kept >= 50
 
+    def test_swap_screen_is_sound(self):
+        # A sampled swap goes through _swap_rejects and, if it survives, the
+        # bandwidth check, exactly as in rvnd. Together they must reject
+        # what cannot_improve rejects, with the pair taken in either order,
+        # and a rejected swap must not be able to improve.
+        rejected = kept = collided = 0
+        params = IlsParams(swap_sample_fraction=1.0)
+        for _stage, plan in self.staged_plans():
+            before = plan_state(plan)
+            for a, b in candidates(plan, "swap", random.Random(0), params):
+                collided += a[0] == b[0] and a[2] == b[2]
+                for pair in ((a, b), (b, a)):
+                    move = ils._move(plan, "swap", pair)
+                    rejects = ils._swap_rejects(plan, pair)
+                    assert (rejects or ils._exceeds_bandwidth(plan, move)) == cannot_improve(
+                        plan, move
+                    ), move
+                    if not rejects:
+                        kept += 1
+                        continue
+                    rejected += 1
+                    applied = apply_move(plan, move)
+                    if applied is not None:
+                        assert applied.delta >= -EPS, move
+                        revert_move(plan, applied)
+                    assert plan_state(plan) == before
+        assert rejected >= 1000 and kept >= 50 and collided >= 20
+
     def test_rvnd_counts_every_outcome(self):
         inst = random_midsize_instance(random.Random(3))
         stats = SearchStats()
         rvnd(constructive_phase(inst, random.Random(1)), random.Random(2), IlsParams(), stats)
         assert stats.moves_screened > 0 and stats.moves_failed > 0
         assert stats.moves_screened + stats.moves_failed + stats.moves_accepted <= stats.moves_tried
+
+
+def source_terms(src):
+    return (src.key, src.slices, src.reqs, getattr(src, "hire_refund", None),
+            getattr(src, "copy_refund", None))
+
+
+def assert_sources_fresh(plan):
+    """Every cached source that the plan would hand out equals one built
+    from scratch now, with its per-request parts and any terms it read."""
+    assert set(plan.sources) <= set(plan.events)
+    for key, src in list(plan.sources.items()):
+        if plan.source(key) is not src:
+            continue  # stale: the lookup rebuilt it
+        built = ils._Source(key, sorted(plan.events[key]))
+        for ours, fresh in zip([src] + src.parts(), [built] + built.parts(), strict=True):
+            if ours.reqs is not None:
+                fresh._read_terms(plan)
+            assert source_terms(ours) == source_terms(fresh), key
+
+
+def read_all_terms(plan, rng):
+    """Screen a random neighbourhood's candidates, reading their terms."""
+    kind = ils.NEIGHBORHOODS[rng.randrange(len(ils.NEIGHBORHOODS))]
+    for cand in candidates(plan, kind, rng, IlsParams(swap_sample_fraction=0.3)):
+        if kind == "swap":
+            ils._swap_rejects(plan, cand)
+        else:
+            cand[0].rejects(plan, cand[1], cand[2], kind != "merge")
+
+
+class TestSourceCache:
+    def test_cached_sources_match_fresh_ones(self):
+        # Sources are cached across passes under (content, server) and
+        # (server, slot) stamps; place, unplace and the undo record keep
+        # them valid, whichever way the plan changes.
+        rng = random.Random(41)
+        steps = dict.fromkeys(("apply", "fail", "revert", "perturb", "clone"), 0)
+        for _ in range(4):
+            inst = random_midsize_instance(rng)
+            plan = constructive_phase(inst, random.Random(rng.randrange(10**6)))
+            for _step in range(40):
+                read_all_terms(plan, rng)
+                step = rng.choice(tuple(steps))
+                if step == "perturb":
+                    perturb(plan, rng.randrange(3), rng, IlsParams())
+                elif step == "clone":
+                    plan = plan.clone()
+                    assert not plan.sources
+                else:
+                    moves = sum(pools(plan, rng), [])
+                    rng.shuffle(moves)
+                    for move in moves:
+                        applied = apply_move(plan, move)
+                        if (applied is None) != (step == "fail"):
+                            if applied is not None:
+                                revert_move(plan, applied)
+                            continue
+                        if step == "revert":
+                            # Sources read while the move is applied must
+                            # not outlive its rollback.
+                            read_all_terms(plan, rng)
+                            assert_sources_fresh(plan)
+                            revert_move(plan, applied)
+                        break
+                    else:
+                        continue
+                steps[step] += 1
+                assert_sources_fresh(plan)
+        assert min(steps.values()) >= 10, steps
 
 
 class TestSwapSample:

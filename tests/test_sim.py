@@ -1,8 +1,10 @@
 """Replay reports of the pipeline and baseline policies."""
 
 import dataclasses
+import logging
 import math
 import re
+from collections import Counter
 
 import pytest
 
@@ -154,6 +156,15 @@ def test_each_distinct_replan_is_solved_once(monkeypatch, scenarios, reports):
         assert dataclasses.replace(record, t=0, solve_ms=0.0, reused=False) == (
             dataclasses.replace(first[key], t=0, solve_ms=0.0, reused=False)
         )
+
+
+def test_debug_log_has_one_record_per_replan_and_solve(caplog, scenarios):
+    with caplog.at_level(logging.DEBUG, logger="flashcrowd"):
+        report = run_pipeline(scenarios["scenario1"])
+    records = Counter(r.name for r in caplog.records)
+    solved = [r for r in report.replans if not r.reused and not r.failed]
+    assert records["flashcrowd.sim"] == len(report.replans) == 43
+    assert records["flashcrowd.ils"] == len(solved) == 30
 
 
 def test_no_plan_is_shared_between_runs(monkeypatch, scenarios):
