@@ -1024,6 +1024,8 @@ def rvnd(
     candidate that its screen rejects (``_Source.rejects`` or
     ``_swap_rejects``, then ``_exceeds_bandwidth`` on the built move) is
     counted as screened; any other is applied, and kept only if it improves.
+    The plan's cached screen sources go when the descent ends: a finished
+    plan is only cloned, and a clone starts with an empty cache.
     """
     stats = stats if stats is not None else SearchStats()
     active = list(NEIGHBORHOODS)
@@ -1062,6 +1064,7 @@ def rvnd(
             active = list(NEIGHBORHOODS)
         else:
             active.remove(name)
+    plan.sources.clear()
     stats.rvnd_passes += passes
     stats.moves_tried += tried
     stats.moves_screened += screened
