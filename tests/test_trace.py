@@ -1,10 +1,13 @@
 import dataclasses
 import logging
+import random
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashcrowd.generator import ContentProfile, GeneratorConfig, generate
 from flashcrowd.trace import (
     AccessLogRecord,
     BadHeader,
@@ -133,6 +136,57 @@ def test_parse_clf_lines_matches_per_line_parse():
         with pytest.raises(MalformedLine):
             parse_clf_line(bad, fresh)
         assert len(fresh) == 0
+
+
+_ORIGIN = 1500026400  # 14/Jul/2017:10:00:00 UTC, a multiple of 60 s
+_ZONES = [timezone.utc, timezone(timedelta(hours=2)), timezone(-timedelta(hours=5, minutes=30))]
+
+
+def test_ingest_returns_the_generated_trace():
+    # One CLF line per access of a generated trace, stamped in three zones
+    # with a few seconds per bin so stamps repeat; then every malformed kind
+    # at random places. Parse and bin in the benchmark's call shape.
+    config = GeneratorConfig([ContentProfile(c, 5, 2.0, 3.0) for c in range(6)], 10, 60.0, 3)
+    generated = generate(config)
+    assert generated.bins[0] and generated.bins[-1]
+    rng = random.Random(11)
+    lines = []
+    for t, counts in enumerate(generated.bins):
+        entries = sorted(
+            (rng.randrange(4), cid, i) for cid, n in counts.items() for i in range(n)
+        )
+        for sec, cid, i in entries:
+            when = datetime.fromtimestamp(_ORIGIN + 60 * t + sec, _ZONES[i % 3])
+            query = f"?ref={i}" if i % 2 else ""
+            status, size = [("200", "10"), ("304", "-"), ("404", "7")][(cid + i) % 3]
+            lines.append(
+                _line(when.strftime("%d/%b/%Y:%H:%M:%S %z"), f"/c/{cid}.html{query}", status, size)
+            )
+    good = list(lines)
+    bad = [
+        _line("05/Xyz/2017:10:00:00 +0000", "/bad-month"),
+        _line("31/Feb/2017:10:00:00 +0000", "/bad-day"),
+        _line("14/Jul/2017:10:00:00 +0000", "/bad-status", status="999"),
+        _line("14/Jul/2017:10:00:00 +0000", "/bad-size", size="12kb"),
+        _line("14/Jul/2017:10:00:00 +0000", "/short", request="GET"),
+        "",
+        "   ",
+        "not a log line at all",
+    ] * 2
+    for line in bad:
+        lines.insert(rng.randrange(len(lines) + 1), line)
+
+    interner = ContentInterner()
+    records, skipped = parse_clf_lines(lines, interner)
+    binned = bin_records(records, 60, interner)
+
+    assert skipped == len(bad)
+    first_seen = list(dict.fromkeys(line.split()[6].split("?")[0] for line in good))
+    assert interner.paths() == {path: cid for cid, path in enumerate(first_seen)}
+    to_content = {cid: int(path[len("/c/"):-len(".html")]) for path, cid in interner.paths().items()}
+    assert binned.bin_width == 60 and binned.horizon == generated.horizon
+    assert {to_content[cid] for cid in binned.catalog} == generated.catalog
+    assert [{to_content[cid]: n for cid, n in b.items()} for b in binned.bins] == generated.bins
 
 
 def test_parse_clf_lines_logs_one_debug_record_per_call(caplog):
