@@ -14,7 +14,6 @@ exponentially-weighted baseline.
 from __future__ import annotations
 
 import logging
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -28,10 +27,6 @@ logger = logging.getLogger(__name__)
 
 class EmptyBin(ValueError):
     """Both bins of a comparison pair have zero accesses."""
-
-
-class DegenerateBound(UserWarning):
-    """Frechet-extreme correlation was 0 while the sample one was not."""
 
 
 @dataclass(frozen=True)
@@ -126,26 +121,6 @@ def _mix(pair: DistributionPair, rho: float) -> kernels.Mix:
     if mix.status == kernels.MIX_CLAMPED:
         logger.debug(
             "sample rho %.4g beyond attainable bound %.4g; theta clamped", rho, mix.rho_bound
-        )
-    return mix
-
-
-def frechet_joint(pair: DistributionPair, rho: float) -> kernels.Mix:
-    """Joint model targeting the sample correlation.
-
-    With rho < 0 the lower Frechet extreme is mixed with the independent
-    product, with rho > 0 the upper one; theta is chosen so the Pearson
-    coefficient of the constructed joint equals rho, with support positions
-    as content values. A sample rho beyond the attainable extreme clamps
-    theta to 1; a zero extreme with nonzero rho falls back to the product
-    and warns.
-    """
-    mix = _mix(pair, float(rho))
-    if mix.status == kernels.MIX_DEGENERATE:
-        warnings.warn(
-            f"degenerate Frechet bound (rho={rho:.4g}); using independent joint",
-            DegenerateBound,
-            stacklevel=2,
         )
     return mix
 

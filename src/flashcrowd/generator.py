@@ -27,6 +27,14 @@ class OutOfWindow(ValueError):
     """Queried a mixing weight outside the phase window."""
 
 
+class BadValue(ValueError):
+    """A generator value out of range; ``key`` names the INI key that sets it."""
+
+    def __init__(self, key: str, message: str) -> None:
+        super().__init__(message)
+        self.key = key
+
+
 class PhaseKind(enum.Enum):
     RAMP_UP = "up"
     RAMP_DOWN = "down"
@@ -71,13 +79,14 @@ class ContentProfile:
 
     def __post_init__(self) -> None:
         if self.u_max <= 0:
-            raise ValueError("u_max must be a positive integer")
+            raise BadValue("u_max", "u_max must be a positive integer")
         if self.alpha0 <= 0 or self.beta0 <= 0:
-            raise ValueError("alpha0 and beta0 must be positive")
+            key = "alpha0" if self.alpha0 <= 0 else "beta0"
+            raise BadValue(key, "alpha0 and beta0 must be positive")
         last_end = -1
         for ph in self.phases:
             if ph.t0 <= last_end:
-                raise ValueError("phases must be ordered and non-overlapping")
+                raise BadValue("phases", "phases must be ordered and non-overlapping")
             last_end = ph.t1
 
 
@@ -111,13 +120,14 @@ class GeneratorConfig:
 
     def __post_init__(self) -> None:
         if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+            raise BadValue("horizon", "horizon must be nonnegative")
         if self.bin_width <= 0:
-            raise ValueError("bin_width must be positive")
+            raise BadValue("bin_width", "bin_width must be positive")
         for prof in self.contents:
             for ph in prof.phases:
                 if ph.t1 >= self.horizon:
-                    raise ValueError(
+                    raise BadValue(
+                        "horizon",
                         f"phase [{ph.t0}, {ph.t1}] of content {prof.content} "
                         f"exceeds horizon {self.horizon}"
                     )
@@ -208,16 +218,15 @@ def _parse_phases(path: str, section) -> tuple[PhaseSchedule, ...]:
     for item in section.get("phases", "").split():
         parts = item.split(":")
         if len(parts) != 4:
-            raise ValueError(f"bad phase descriptor {item!r}")
+            raise ValueError(f"{path}: [{section.name}] phases: bad phase descriptor {item!r}")
         kind, t0, t1, gamma = parts
-        phases.append(
-            PhaseSchedule(
-                _number(path, section, "phases", int, text=t0),
-                _number(path, section, "phases", int, text=t1),
-                _number(path, section, "phases", float, text=gamma),
-                PhaseKind(kind),
-            )
-        )
+        t0 = _number(path, section, "phases", int, text=t0)
+        t1 = _number(path, section, "phases", int, text=t1)
+        gamma = _number(path, section, "phases", float, text=gamma)
+        try:
+            phases.append(PhaseSchedule(t0, t1, gamma, PhaseKind(kind)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: [{section.name}] phases: {exc}") from None
     return tuple(phases)
 
 
@@ -226,7 +235,7 @@ def read_generator_config(path: str, seed: int | None = None) -> GeneratorConfig
     with open(path) as fh:
         cp.read_file(fh)
     if "generator" not in cp:
-        raise ValueError("missing [generator] section")
+        raise ValueError(f"{path}: missing [generator] section")
     gen = cp["generator"]
     contents: list[ContentProfile] = []
     for section in cp.sections():
@@ -235,22 +244,28 @@ def read_generator_config(path: str, seed: int | None = None) -> GeneratorConfig
         sec = cp[section]
         base_id = _number(path, sec, "section id", int, text=section.split(".", 1)[1])
         for offset in range(_number(path, sec, "replicate", int, 1)):
-            contents.append(
-                ContentProfile(
-                    content=base_id + offset,
-                    u_max=_number(path, sec, "u_max", int),
-                    alpha0=_number(path, sec, "alpha0", float),
-                    beta0=_number(path, sec, "beta0", float),
-                    phases=_parse_phases(path, sec),
+            try:
+                contents.append(
+                    ContentProfile(
+                        content=base_id + offset,
+                        u_max=_number(path, sec, "u_max", int),
+                        alpha0=_number(path, sec, "alpha0", float),
+                        beta0=_number(path, sec, "beta0", float),
+                        phases=_parse_phases(path, sec),
+                    )
                 )
-            )
+            except BadValue as exc:
+                raise ValueError(f"{path}: [{section}] {exc.key}: {exc}") from None
     contents.sort(key=lambda p: p.content)
     ids = [p.content for p in contents]
     if len(set(ids)) != len(ids):
-        raise ValueError("duplicate content ids in generator config")
-    return GeneratorConfig(
-        contents=contents,
-        horizon=_number(path, gen, "horizon", int),
-        bin_width=_number(path, gen, "bin_width", float, 1.0),
-        seed=seed if seed is not None else _number(path, gen, "seed", int, 0),
-    )
+        raise ValueError(f"{path}: duplicate content ids in generator config")
+    try:
+        return GeneratorConfig(
+            contents=contents,
+            horizon=_number(path, gen, "horizon", int),
+            bin_width=_number(path, gen, "bin_width", float, 1.0),
+            seed=seed if seed is not None else _number(path, gen, "seed", int, 0),
+        )
+    except BadValue as exc:
+        raise ValueError(f"{path}: [generator] {exc.key}: {exc}") from None

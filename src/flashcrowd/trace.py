@@ -1,13 +1,16 @@
-"""Trace data model plus parsers for access logs and binned CSV traces.
+"""Trace data model, the access-log ingest and the binned CSV format.
 
-Content identity is the normalized request path (query string stripped);
-ids are interned in first-seen order so they are deterministic for a given
-input. Time is discretized into fixed-width bins aligned to multiples of
-the bin width, with the earliest record falling in bin 0.
+The ingest keeps what the detector reads from a log: how many accesses
+each content got in each second, then in each bin. ``parse_clf_lines``
+turns Common-Log-Format lines into ``{timestamp: {content id: accesses}}``
+with no object per line, and ``bin_records`` adds those counts into
+fixed-width bins aligned to multiples of the bin width, the earliest bin
+with an access becoming bin 0.
 
-``parse_clf_lines`` parses each distinct bracketed time text at most once
-per call: a per-call dict maps the text to its epoch seconds, so a log
-whose lines share a few hundred stamps pays for those few hundred.
+Content identity is the request path with its query string stripped; ids
+are interned in first-seen order, so they are deterministic for a given
+input. Each distinct bracketed time text is parsed at most once per call,
+so a log whose lines share a few hundred stamps pays for those few hundred.
 """
 
 from __future__ import annotations
@@ -39,29 +42,15 @@ class NonIntegerField(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class AccessLogRecord:
-    client_id: str
-    timestamp: float
-    method: str
-    object_path: str
-    status: int
-    size: int
-    content_id: int | None = None
-
-
 class ContentInterner:
-    """Assigns ascending integer ids to normalized paths, first-seen order."""
+    """Assigns ascending integer ids to paths, query string stripped,
+    in first-seen order."""
 
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}
 
-    @staticmethod
-    def normalize(path: str) -> str:
-        return path.split("?", 1)[0]
-
     def intern(self, path: str) -> int:
-        key = self.normalize(path)
+        key = path.split("?", 1)[0]
         cid = self._ids.get(key)
         if cid is None:
             cid = len(self._ids)
@@ -154,64 +143,42 @@ def _parse_clf_time(text: str) -> float:
     return dt.timestamp()
 
 
-def _parse_line(
-    line: str, interner: ContentInterner | None, stamps: dict[str, float]
-) -> AccessLogRecord:
-    """``parse_clf_line`` with ``stamps`` memoising the time text of
-    successful parses. Fields are checked in the order regex, request,
-    status, size, time, and the path is interned only after all pass."""
+def _parse_line(line: str, stamps: dict[str, float]) -> tuple[float, str]:
+    """The epoch seconds and request path of one Common-Log-Format line.
+
+    Fields are checked in the order regex, request, status, size, time;
+    ``stamps`` memoises the time text of successful parses. Any status in
+    100-599 is kept: filtering by status is a separate policy.
+    """
     m = _CLF_RE.match(line)
     if m is None:
         raise MalformedLine(f"unparseable line: {line!r}")
-    client, time_text, request_text, status_text, size_text = m.group(
-        "client", "time", "request", "status", "size"
-    )
+    time_text, request_text, status_text, size_text = m.group("time", "request", "status", "size")
     request = request_text.split()
     if len(request) < 2:
         raise MalformedLine(f"bad request field: {request_text!r}")
-    status = int(status_text)
-    if not 100 <= status <= 599:
-        raise MalformedLine(f"status out of range: {status}")
-    if size_text == "-":
-        size = 0
-    elif size_text.isdigit():
-        size = int(size_text)
-    else:
+    if not 100 <= int(status_text) <= 599:
+        raise MalformedLine(f"status out of range: {status_text}")
+    if size_text != "-" and not size_text.isdigit():
         raise MalformedLine(f"bad size field: {size_text!r}")
     timestamp = stamps.get(time_text)
     if timestamp is None:
         timestamp = stamps[time_text] = _parse_clf_time(time_text)
-    path = request[1]
-    return AccessLogRecord(
-        client, timestamp, request[0], path, status, size,
-        interner.intern(path) if interner is not None else None,
-    )
-
-
-def parse_clf_line(line: str, interner: ContentInterner | None = None) -> AccessLogRecord:
-    """Parse one Common-Log-Format line.
-
-    The parser does not filter by status; that is a separate policy. When an
-    interner is given, the record carries the content id of its normalized
-    path.
-    """
-    return _parse_line(line, interner, {})
+    return timestamp, request[1]
 
 
 def parse_clf_lines(
-    lines: Iterable[str],
-    interner: ContentInterner | None = None,
-    statuses: set[int] | None = None,
-) -> tuple[list[AccessLogRecord], int]:
-    """Parse a stream of log lines, skipping and counting malformed ones.
+    lines: Iterable[str], interner: ContentInterner
+) -> tuple[dict[float, dict[int, int]], int]:
+    """Count a stream of log lines per second and content, skipping and
+    counting blank and malformed ones.
 
-    ``statuses`` optionally keeps only matching status codes (applied after
-    parsing, so skipped-by-status lines are not counted as malformed).
+    Returns ``(counts, skipped)``: ``counts`` maps each distinct epoch
+    second to ``{content id: accesses}``, both in first-seen order. A path
+    is interned only once its line has passed every check.
     """
-    if interner is None:
-        interner = ContentInterner()
     stamps: dict[str, float] = {}
-    records: list[AccessLogRecord] = []
+    counts: dict[float, dict[int, int]] = {}
     read = skipped = 0
     for line in lines:
         read += 1
@@ -219,41 +186,42 @@ def parse_clf_lines(
             skipped += 1
             continue
         try:
-            rec = _parse_line(line, interner, stamps)
+            timestamp, path = _parse_line(line, stamps)
         except MalformedLine:
             skipped += 1
             continue
-        if statuses is not None and rec.status not in statuses:
-            continue
-        records.append(rec)
+        cid = interner.intern(path)
+        at = counts.get(timestamp)
+        if at is None:
+            counts[timestamp] = {cid: 1}
+        else:
+            at[cid] = at.get(cid, 0) + 1
     logger.debug(
         "parsed %d log lines: %d skipped, %d distinct timestamps", read, skipped, len(stamps)
     )
-    return records, skipped
+    return counts, skipped
 
 
 def bin_records(
-    records: Iterable[AccessLogRecord],
-    bin_width: float,
-    interner: ContentInterner | None = None,
+    counts: dict[float, dict[int, int]], bin_width: float, interner: ContentInterner
 ) -> BinnedTrace:
-    """Aggregate records into a BinnedTrace with all bins materialized."""
+    """Add ``parse_clf_lines`` counts into a BinnedTrace, all bins materialized.
+
+    ``interner`` is not read; the ingest benchmark passes it.
+    """
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    if interner is None:
-        interner = ContentInterner()
     # Counts keyed by absolute bin index; floor is monotone, so the least
-    # index is the bin of the earliest record and becomes bin 0.
+    # index is the bin of the earliest timestamp and becomes bin 0.
     by_bin: dict[int, dict[int, int]] = {}
-    for rec in records:
-        cid = rec.content_id
-        if cid is None:
-            cid = interner.intern(rec.object_path)
-        t = math.floor(rec.timestamp / bin_width)
+    for timestamp, at in counts.items():
+        t = math.floor(timestamp / bin_width)
         b = by_bin.get(t)
         if b is None:
-            b = by_bin[t] = {}
-        b[cid] = b.get(cid, 0) + 1
+            by_bin[t] = dict(at)
+        else:
+            for cid, n in at.items():
+                b[cid] = b.get(cid, 0) + n
     if not by_bin:
         return BinnedTrace(bin_width=bin_width)
     bins = [by_bin.get(t, {}) for t in range(min(by_bin), max(by_bin) + 1)]

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import warnings
 
@@ -7,13 +6,11 @@ import pytest
 
 from flashcrowd import kernels
 from flashcrowd.detector import (
-    DegenerateBound,
     Detector,
     EmptyBin,
     FlagConfig,
     build_distributions,
     detect,
-    frechet_joint,
 )
 from flashcrowd.generator import (
     ContentProfile,
@@ -44,11 +41,9 @@ def point_of(prev, now):
 
 
 def expect_degenerate(pair, rho):
-    """Expect DegenerateBound exactly when rho != 0 and a marginal is a point
-    mass: its variance is 0, so no Frechet extreme can correlate."""
-    if rho != 0.0 and max(pair.f.max(), pair.g.max()) == 1.0:
-        return pytest.warns(DegenerateBound)
-    return contextlib.nullcontext()
+    """A degenerate mix is expected exactly when rho != 0 and a marginal is a
+    point mass: its variance is 0, so no Frechet extreme can correlate."""
+    return rho != 0.0 and max(pair.f.max(), pair.g.max()) == 1.0
 
 
 class TestBuildDistributions:
@@ -100,7 +95,7 @@ class TestSampleRho:
 class TestFrechetJoint:
     def test_independent_product(self):
         pair = build_distributions(trace_of({1: 3, 2: 1}, {1: 1, 2: 3}), 1, 1)
-        joint = frechet_joint(pair, 0.0)
+        joint = kernels.frechet_mix(pair.f, pair.g, 0.0)
         assert np.allclose(dense_joint(joint, pair.f, pair.g), np.outer(pair.f, pair.g), atol=0)
         assert joint.theta == 0.0
 
@@ -108,7 +103,7 @@ class TestFrechetJoint:
         # Hand evaluation: f=[.75,.25], g=[.25,.75], rho=-1 puts all mass on
         # the antidiagonal and the lower-extreme correlation is exactly -1.
         pair = build_distributions(trace_of({1: 3, 2: 1}, {1: 1, 2: 3}), 1, 1)
-        joint = frechet_joint(pair, -1.0)
+        joint = kernels.frechet_mix(pair.f, pair.g, -1.0)
         assert joint.rho_bound == pytest.approx(-1.0, abs=1e-12)
         assert joint.theta == pytest.approx(1.0, abs=1e-12)
         expected = np.array([[0.0, 0.75], [0.25, 0.0]])
@@ -117,7 +112,7 @@ class TestFrechetJoint:
     def test_comonotone_upper_bound(self):
         # f = g and rho = 1: the upper extreme is the diagonal coupling.
         pair = build_distributions(trace_of({1: 1, 2: 3}, {1: 1, 2: 3}), 1, 1)
-        joint = frechet_joint(pair, 1.0)
+        joint = kernels.frechet_mix(pair.f, pair.g, 1.0)
         assert joint.theta == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(dense_joint(joint, pair.f, pair.g), np.diag(pair.f), atol=1e-12)
 
@@ -130,16 +125,17 @@ class TestFrechetJoint:
             if sum(cp.values()) == 0 and sum(cn.values()) == 0:
                 continue
             pair = build_distributions(trace_of(cp, cn), 1, 1)
-            with expect_degenerate(pair, -1e-9):
-                lo = frechet_joint(pair, -1e-9).rho_bound
-            with expect_degenerate(pair, 1e-9):
-                hi = frechet_joint(pair, 1e-9).rho_bound
+            lo_mix = kernels.frechet_mix(pair.f, pair.g, -1e-9)
+            hi_mix = kernels.frechet_mix(pair.f, pair.g, 1e-9)
+            for mix, rho in ((lo_mix, -1e-9), (hi_mix, 1e-9)):
+                assert (mix.status == kernels.MIX_DEGENERATE) == expect_degenerate(pair, rho)
+            lo, hi = lo_mix.rho_bound, hi_mix.rho_bound
             assert lo <= 0.0 <= hi
             for bound, sign in ((lo, -1), (hi, 1)):
                 if bound == 0.0:
                     continue
                 rho = sign * float(rng.random()) * abs(bound)
-                joint = frechet_joint(pair, rho)
+                joint = kernels.frechet_mix(pair.f, pair.g, rho)
                 p = dense_joint(joint, pair.f, pair.g)
                 assert np.max(np.abs(p.sum(axis=1) - pair.f)) < 1e-9
                 assert np.max(np.abs(p.sum(axis=0) - pair.g)) < 1e-9
@@ -167,15 +163,15 @@ class TestFrechetJoint:
         pair = build_distributions(trace_of({0: 1, 1: 2}, {0: 2, 1: 3}), 1, 1)
         rho = sample_rho({0: 1, 1: 2}, {0: 2, 1: 3})
         assert rho == pytest.approx(1.0)
-        joint = frechet_joint(pair, rho)
+        joint = kernels.frechet_mix(pair.f, pair.g, rho)
         assert abs(joint.rho_bound) < 1.0
         assert joint.theta == 1.0
         assert (dense_joint(joint, pair.f, pair.g) >= -1e-15).all()
 
     def test_degenerate_bound_warns_and_falls_back(self):
         pair = build_distributions(trace_of({1: 4}, {1: 4}), 1, 1)
-        with pytest.warns(DegenerateBound):
-            joint = frechet_joint(pair, 0.5)
+        joint = kernels.frechet_mix(pair.f, pair.g, 0.5)
+        assert joint.status == kernels.MIX_DEGENERATE
         assert dense_joint(joint, pair.f, pair.g).tolist() == [[1.0]]
 
 
@@ -309,7 +305,7 @@ class TestDetect:
 
     def test_degenerate_pair_counted_not_warned(self):
         # f is a point mass and the sample rho is -1: no extreme correlates,
-        # so the detector counts the point silently while frechet_joint warns.
+        # so the detector counts the point and warns nothing.
         trace = trace_of({0: 3}, {0: 1, 1: 2})
         det = Detector(w=1)
         with warnings.catch_warnings(record=True) as caught:
@@ -319,8 +315,7 @@ class TestDetect:
         assert caught == []
         assert det.degenerate_points == 1 and len(det.points) == 1
         pair = build_distributions(trace, 1, 1)
-        with pytest.warns(DegenerateBound):
-            frechet_joint(pair, -1.0)
+        assert kernels.frechet_mix(pair.f, pair.g, -1.0).status == kernels.MIX_DEGENERATE
 
     def test_online_matches_batch(self):
         trace = generate(flash_config(2, horizon=600, up=(200, 260), down=(420, 480)))
@@ -335,7 +330,6 @@ class TestDetect:
 class TestExactOracle:
     """rho_bound, theta and H(X, Y) against the rational staircase oracle."""
 
-    @pytest.mark.filterwarnings("ignore::flashcrowd.detector.DegenerateBound")
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 300])
     def test_matches_exact_staircase(self, n):
         rng = np.random.default_rng(100 + n)
@@ -346,7 +340,7 @@ class TestExactOracle:
             pair = build_distributions(trace_of(prev, now), 1, 1)
             counts = (pair.c_prev.astype(int).tolist(), pair.c_now.astype(int).tolist())
             for rho in (-1.0, -0.3, -1e-3, 0.0, 0.2, 1.0):
-                joint = frechet_joint(pair, rho)
+                joint = kernels.frechet_mix(pair.f, pair.g, rho)
                 rho_bound, theta, h_xy = exact_joint(*counts, rho)
                 assert abs(joint.rho_bound - rho_bound) < 1e-12
                 assert abs(joint.theta - theta) < 1e-12

@@ -335,6 +335,13 @@ def test_bad_number_names_its_key(tmp_path, key, value, named):
         ("[content.1]", "[content.one]", "[content.one] section id: bad number 'one'"),
         ("up:100:150:0.06", "up:100:end:0.06", "[content.2] phases: bad number 'end'"),
         ("u_max = 4\n", "", "missing key 'u_max' in [content.0]"),
+        ("up:100:150:0.06", "sideways:100:150:0.06",
+         "[content.2] phases: 'sideways' is not a valid PhaseKind"),
+        ("up:100:150:0.06", "up:150:100:0.06", "[content.2] phases: phase requires t0 < t1"),
+        ("up:100:150:0.06", "up:1:5", "[content.2] phases: bad phase descriptor 'up:1:5'"),
+        ("up:100:150:0.06", "up:100:150:0", "[content.2] phases: gamma must be positive"),
+        ("u_max = 4", "u_max = 0", "[content.0] u_max: u_max must be a positive integer"),
+        ("[generator]", "[gen]", "missing [generator] section"),
     ],
 )
 def test_bad_generator_number_names_file_section_and_key(tmp_path, line, edited, named):

@@ -1,4 +1,3 @@
-import dataclasses
 import logging
 import random
 from datetime import datetime, timedelta, timezone
@@ -9,15 +8,12 @@ from hypothesis import strategies as st
 
 from flashcrowd.generator import ContentProfile, GeneratorConfig, generate
 from flashcrowd.trace import (
-    AccessLogRecord,
     BadHeader,
     BinnedTrace,
     ContentInterner,
-    MalformedLine,
     NegativeCount,
     NonIntegerField,
     bin_records,
-    parse_clf_line,
     parse_clf_lines,
     read_csv_trace,
     write_csv_trace,
@@ -26,42 +22,40 @@ from flashcrowd.trace import (
 SAMPLE = '282 - - [30/Apr/1998:21:31:12 +0000] "GET /images/hm_bg.jpg HTTP/1.0" 200 24736'
 
 
+def _parse(*lines):
+    interner = ContentInterner()
+    counts, skipped = parse_clf_lines(lines, interner)
+    return counts, skipped, interner.paths()
+
+
 def test_parse_clf_sample_entry():
-    rec = parse_clf_line(SAMPLE)
-    assert rec.client_id == "282"
-    assert rec.method == "GET"
-    assert rec.object_path == "/images/hm_bg.jpg"
-    assert rec.status == 200
-    assert rec.size == 24736
     # 1998-04-30T21:31:12 UTC
-    assert rec.timestamp == 893971872.0
+    assert _parse(SAMPLE) == ({893971872.0: {0: 1}}, 0, {"/images/hm_bg.jpg": 0})
 
 
 def test_parse_clf_timezone_applied():
-    utc = parse_clf_line(SAMPLE)
-    shifted = parse_clf_line(SAMPLE.replace("+0000", "+0200"))
-    assert shifted.timestamp == utc.timestamp - 2 * 3600
+    counts, skipped, _ = _parse(SAMPLE, SAMPLE.replace("+0000", "+0200"))
+    assert list(counts) == [893971872.0, 893971872.0 - 2 * 3600]
+    assert skipped == 0
 
 
 def test_parse_clf_rejects_empty_and_garbage():
-    with pytest.raises(MalformedLine):
-        parse_clf_line("")
-    with pytest.raises(MalformedLine):
-        parse_clf_line("not a log line at all")
-    with pytest.raises(MalformedLine):
-        parse_clf_line(SAMPLE.replace("200", "999"))
-    with pytest.raises(MalformedLine):
-        parse_clf_line(SAMPLE.replace("[30/Apr/1998:21:31:12 +0000]", "[bogus]"))
+    bad = [
+        "",
+        "not a log line at all",
+        SAMPLE.replace("200", "999"),
+        SAMPLE.replace("[30/Apr/1998:21:31:12 +0000]", "[bogus]"),
+    ]
+    for line in bad:
+        assert _parse(line) == ({}, 1, {})
 
 
 def test_parse_clf_keeps_error_statuses():
-    rec = parse_clf_line(SAMPLE.replace(" 200 ", " 404 "))
-    assert rec.status == 404
+    assert _parse(SAMPLE.replace(" 200 ", " 404 "))[0] == {893971872.0: {0: 1}}
 
 
 def test_parse_clf_dash_size():
-    rec = parse_clf_line(SAMPLE.replace("24736", "-"))
-    assert rec.size == 0
+    assert _parse(SAMPLE.replace("24736", "-"))[0] == {893971872.0: {0: 1}}
 
 
 def test_interner_first_seen_order_and_query_strip():
@@ -74,17 +68,9 @@ def test_interner_first_seen_order_and_query_strip():
 
 
 def test_parse_clf_lines_skip_and_count():
-    lines = [SAMPLE, "", "garbage", SAMPLE.replace("hm_bg", "other")]
-    records, skipped = parse_clf_lines(lines)
+    counts, skipped, _ = _parse(SAMPLE, "", "garbage", SAMPLE.replace("hm_bg", "other"))
     assert skipped == 2
-    assert [r.content_id for r in records] == [0, 1]
-
-
-def test_parse_clf_lines_status_filter():
-    lines = [SAMPLE, SAMPLE.replace(" 200 ", " 404 ")]
-    records, skipped = parse_clf_lines(lines, statuses={200})
-    assert skipped == 0
-    assert len(records) == 1 and records[0].status == 200
+    assert counts == {893971872.0: {0: 1, 1: 1}}
 
 
 def _line(stamp, path, status="200", size="10", request=None):
@@ -116,26 +102,15 @@ def test_parse_clf_lines_matches_per_line_parse():
         _line("14/Jul/2017:04:30:00 -0530", "/b", status="404"),
         _line("14/Jul/2017:10:00:01 +0000", "/a"),
     ]
-    interner = ContentInterner()
-    records, skipped = parse_clf_lines(lines, interner)
-
-    expected, expected_skipped = [], 0
-    per_line = ContentInterner()
-    for line in lines:
-        try:
-            expected.append(parse_clf_line(line, per_line))
-        except MalformedLine:
-            expected_skipped += 1
-    assert records == expected
-    assert skipped == expected_skipped == 9
-    assert interner.paths() == per_line.paths() == {"/a": 0, "/b": 1, "/c": 2, "/d": 3}
-    assert len({r.timestamp for r in records}) == 2
+    counts, skipped, paths = _parse(*lines)
+    assert skipped == 9
+    assert paths == {"/a": 0, "/b": 1, "/c": 2, "/d": 3}
+    # Every good line lands in one of two seconds, whatever its zone.
+    assert counts == {1500026400.0: {0: 2, 1: 2, 3: 1}, 1500026401.0: {2: 1, 0: 1}}
+    assert list(counts[1500026400.0]) == [0, 1, 3]
 
     for bad in (bad_month, bad_day):
-        fresh = ContentInterner()
-        with pytest.raises(MalformedLine):
-            parse_clf_line(bad, fresh)
-        assert len(fresh) == 0
+        assert _parse(bad) == ({}, 1, {})
 
 
 _ORIGIN = 1500026400  # 14/Jul/2017:10:00:00 UTC, a multiple of 60 s
@@ -192,64 +167,53 @@ def test_ingest_returns_the_generated_trace():
 def test_parse_clf_lines_logs_one_debug_record_per_call(caplog):
     lines = [SAMPLE, SAMPLE, "", SAMPLE.replace("21:31:12", "21:31:13")]
     with caplog.at_level(logging.DEBUG, logger="flashcrowd.trace"):
-        parse_clf_lines(lines)
+        parse_clf_lines(lines, ContentInterner())
     assert [r.getMessage() for r in caplog.records] == [
         "parsed 4 log lines: 1 skipped, 2 distinct timestamps"
     ]
 
 
-def _rec(ts, path="/x", cid=None):
-    return AccessLogRecord("c", ts, "GET", path, 200, 1, content_id=cid)
-
-
-def test_access_record_is_frozen_slotted_and_hashable():
-    rec = parse_clf_line(SAMPLE, ContentInterner())
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        rec.status = 404
-    twin = AccessLogRecord("282", 893971872.0, "GET", "/images/hm_bg.jpg", 200, 24736, 0)
-    assert twin == rec and hash(twin) == hash(rec)
-    assert twin != dataclasses.replace(rec, size=1)
-    with pytest.raises(TypeError):
-        vars(rec)
-
-
 def test_bin_records_empty():
-    trace = bin_records([], 60)
+    trace = bin_records({}, 60, ContentInterner())
     assert trace.horizon == 0 and trace.catalog == set()
 
 
 def test_bin_records_single_bin():
-    trace = bin_records([_rec(0, cid=7), _rec(1, cid=7), _rec(59, cid=7)], 60)
+    trace = bin_records({0: {7: 1}, 1: {7: 1}, 59: {7: 1}}, 60, ContentInterner())
     assert trace.horizon == 1
     assert trace.bins[0] == {7: 3}
 
 
 def test_bin_records_materializes_empty_bins():
-    trace = bin_records([_rec(0, cid=1), _rec(250, cid=2)], 60)
+    trace = bin_records({0: {1: 1}, 250: {2: 1}}, 60, ContentInterner())
     assert trace.horizon == 5
     assert trace.bins[1] == {} and trace.bins[2] == {} and trace.bins[3] == {}
     assert trace.bins[4] == {2: 1}
 
 
 def test_bin_records_alignment_to_bin_width_boundaries():
-    # First record at 119 s with 60 s bins: origin is the 60 s boundary below.
-    trace = bin_records([_rec(119, cid=0), _rec(121, cid=0)], 60)
+    # First access at 119 s with 60 s bins: origin is the 60 s boundary below.
+    trace = bin_records({119: {0: 1}, 121: {0: 1}}, 60, ContentInterner())
     assert trace.horizon == 2
     assert trace.bins[0] == {0: 1} and trace.bins[1] == {0: 1}
 
 
 def test_bin_records_unsorted_and_negative_times():
-    # Bin 0 is the bin of the earliest record wherever it sits in the input.
-    trace = bin_records([_rec(250, cid=2), _rec(-61, cid=1), _rec(-60, cid=1)], 60)
+    # Bin 0 is the bin of the earliest second wherever it sits in the input.
+    counts = {250: {2: 1}, -61: {1: 1}, -60: {1: 1}}
+    trace = bin_records(counts, 60, ContentInterner())
     assert trace.horizon == 7
     assert trace.bins[0] == {1: 1} and trace.bins[1] == {1: 1} and trace.bins[6] == {2: 1}
+    assert counts == {250: {2: 1}, -61: {1: 1}, -60: {1: 1}}
 
 
 def test_bin_records_count_conservation():
     lines = [SAMPLE] * 5 + ["junk"] + [SAMPLE.replace("hm_bg", f"f{i}") for i in range(7)]
-    records, skipped = parse_clf_lines(lines)
-    trace = bin_records(records, 1)
-    assert trace.total_count() == len(records) == len(lines) - skipped
+    interner = ContentInterner()
+    counts, skipped = parse_clf_lines(lines, interner)
+    trace = bin_records(counts, 1, interner)
+    assert trace.total_count() == len(lines) - skipped == 12
+    assert trace.bins == [{0: 5, **{i: 1 for i in range(1, 8)}}]
 
 
 def test_csv_roundtrip_basic(tmp_path):
