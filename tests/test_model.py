@@ -20,10 +20,10 @@ from flashcrowd.model import (
 from util_instances import tiny_instance_o1
 
 
-def simple_instance():
-    servers = [Server(0, OWNED, storage=50, bandwidth=20)]
-    contents = [Content(0, size=10, start=1, origin=0, copy_cost=1.0)]
-    requests = [Request(0, 0, attend_cost=2.5, demand={1: 10.0}, penalty=1.0)]
+def simple_instance(storage=50, start=1):
+    servers = [Server(0, OWNED, storage=storage, bandwidth=20)]
+    contents = [Content(0, size=10, start=start, origin=0, copy_cost=1.0)]
+    requests = [Request(0, 0, attend_cost=2.5, demand={start: 10.0}, penalty=1.0)]
     return PlanningInstance(servers, contents, requests, horizon=2, client_bandwidth=10)
 
 
@@ -130,7 +130,25 @@ class TestEvaluate:
             evaluate(inst, Solution(hires={(9, 1)}))
 
 
+# One hand-built corrected-mode violation per family that no solver output
+# or workload produces: simple_instance arguments and the solution.
+VIOLATING = {
+    "r4_1": ({}, Solution(tuples=[AttendanceTuple(0, 0, 1, {0: 15.0})])),
+    "r14_2": ({}, Solution(backlog={(0, 1): -1.0})),
+    "r7": ({"start": 2}, Solution(replicas={(0, 0, 1)})),
+    "r9": ({"start": 2}, Solution(replications=[Replication(0, 0, 0, 1)])),
+    "r10c": ({}, Solution(replications=[Replication(0, 0, 0, 1)])),
+    "r12": ({"storage": 5}, Solution(replicas={(0, 0, 1)})),
+}
+
+
 class TestFeasibility:
+    @pytest.mark.parametrize("family", VIOLATING)
+    def test_violation_is_reported_under_its_family(self, family):
+        args, sol = VIOLATING[family]
+        families = {v.family for v in check_feasibility(simple_instance(**args), sol, "corrected")}
+        assert family in families
+
     def test_valid_solution_clean(self):
         inst = simple_instance()
         sol = served_solution()
