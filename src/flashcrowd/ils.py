@@ -6,7 +6,7 @@ replication events, hires, bandwidth, and costs are caches derived from the
 placements. Replicas are copied from the content's origin server, arrive
 after the replication delay, and persist until the horizon unless evicted
 (LRU, construction only), so every intermediate solution exports to a
-zero-violation solution of the corrected constraint mode.
+zero-violation solution under ``model.check_feasibility``.
 
 Local search explores five event neighborhoods (Shift, Swap, Split, Merge,
 d-Delay) with first-improvement acceptance and random neighborhood

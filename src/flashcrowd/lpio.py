@@ -29,17 +29,15 @@ Constraints, one named row per index tuple:
   r4_1_i{i}_j{j}_t{t}  slice-to-attendance coupling
   r5_i{i}_j{j}_t{t}    attendance needs a replica
   r6_k{k}         origin seeding (y fixed to 1)
-  r10_k{k}_j{j}_t{t}   [literal] replica at t+tr needs an outgoing copy at t
-  r11_k{k}_j{j}_l{l}_t{t}  [literal] copy from l into j needs y at the
-                           destination j (index pattern as printed)
-  r10c_k{k}_j{j}_l{l}_t{t} [corrected] copy from j needs y at the source
-  r11c_k{k}_l{l}_t{t}      [corrected] replica persists or is created
+  r10c_k{k}_j{j}_l{l}_t{t} copy from j needs y at the source
+  r11c_k{k}_l{l}_t{t}      replica persists or is created
   r12_j{j}_t{t}   storage
   r13_i{i}_j{j}_t{t}   hired slot required (one row per period, using the
                        period-to-slot mapping)
 
 Families r7/r8/r9 (zero fixings before the content start) are enforced by
-the variable emission rules above rather than by rows.
+the variable emission rules above rather than by rows. r10c/r11c replace
+the source model's printed r10/r11; the erratum is in ``model``'s docstring.
 """
 
 from __future__ import annotations
@@ -93,10 +91,8 @@ class LpModel:
         return sum(coef * assignment.get(var, 0.0) for var, coef in self.objective.items())
 
 
-def build_model(instance: PlanningInstance, mode: str = "literal") -> LpModel:
-    """The instance's MILP in the selected constraint mode."""
-    if mode not in ("literal", "corrected"):
-        raise ValueError(f"unknown mode {mode!r}")
+def build_model(instance: PlanningInstance) -> LpModel:
+    """The instance's MILP."""
     inst = instance
     tf = inst.horizon
     nr, ns = len(inst.requests), len(inst.servers)
@@ -228,40 +224,24 @@ def build_model(instance: PlanningInstance, mode: str = "literal") -> LpModel:
     for c in inst.contents:
         add(f"r6_k{c.id}", {yv(c.id, c.origin, c.start): 1.0}, "=", 1.0)
 
-    if mode == "literal":
-        for c in inst.contents:
-            for j in server_ids:
-                for t in range(c.start, tf + 1):
-                    if t + tr > tf or not y_exists(c.id, j, t + tr):
-                        continue
-                    terms = {wv(c.id, j, l, t): 1.0 for l in server_ids}
-                    terms[yv(c.id, j, t + tr)] = -1.0
-                    add(f"r10_k{c.id}_j{j}_t{t}", terms, ">=", 0.0)
-        for c in inst.contents:
-            for j in server_ids:  # destination, as printed
-                for l in server_ids:  # source
-                    for t in range(c.start, tf + 1):
-                        terms = needs_y(c.id, j, t, wv(c.id, l, j, t))
-                        add(f"r11_k{c.id}_j{j}_l{l}_t{t}", terms, ">=", 0.0)
-    else:
-        for c in inst.contents:
-            for j in server_ids:  # source
-                for l in server_ids:
-                    for t in range(c.start, tf + 1):
-                        terms = needs_y(c.id, j, t, wv(c.id, j, l, t))
-                        add(f"r10c_k{c.id}_j{j}_l{l}_t{t}", terms, ">=", 0.0)
-        for c in inst.contents:
+    for c in inst.contents:
+        for j in server_ids:  # source
             for l in server_ids:
-                for t in range(c.start + 1, tf + 1):
-                    if not y_exists(c.id, l, t):
-                        continue
-                    terms = {yv(c.id, l, t): 1.0}
-                    if y_exists(c.id, l, t - 1):
-                        terms[yv(c.id, l, t - 1)] = -1.0
-                    if t - tr >= c.start:
-                        for j in server_ids:
-                            terms[wv(c.id, j, l, t - tr)] = -1.0
-                    add(f"r11c_k{c.id}_l{l}_t{t}", terms, "<=", 0.0)
+                for t in range(c.start, tf + 1):
+                    terms = needs_y(c.id, j, t, wv(c.id, j, l, t))
+                    add(f"r10c_k{c.id}_j{j}_l{l}_t{t}", terms, ">=", 0.0)
+    for c in inst.contents:
+        for l in server_ids:
+            for t in range(c.start + 1, tf + 1):
+                if not y_exists(c.id, l, t):
+                    continue
+                terms = {yv(c.id, l, t): 1.0}
+                if y_exists(c.id, l, t - 1):
+                    terms[yv(c.id, l, t - 1)] = -1.0
+                if t - tr >= c.start:
+                    for j in server_ids:
+                        terms[wv(c.id, j, l, t - tr)] = -1.0
+                add(f"r11c_k{c.id}_l{l}_t{t}", terms, "<=", 0.0)
 
     for j in server_ids:
         srv = inst.server_by_id[j]
@@ -313,9 +293,12 @@ def write_lp(model: LpModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def export_lp(instance: PlanningInstance, mode: str = "literal") -> str:
-    """Serialize the instance as LP text in the selected constraint mode."""
-    return write_lp(build_model(instance, mode))
+def export_lp(instance: PlanningInstance, mode: str = "corrected") -> str:
+    """Serialize the instance's MILP as LP text. ``mode`` must be
+    "corrected", the one encoding; it stays for callers that name it."""
+    if mode != "corrected":
+        raise ValueError(f"unknown mode {mode!r}")
+    return write_lp(build_model(instance))
 
 
 _TOKEN = re.compile(r"(<=|>=|=|\+|-|[A-Za-z_][A-Za-z0-9_]*|[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)")
@@ -522,19 +505,17 @@ def assignment_to_solution(instance: PlanningInstance, values: dict[str, float])
     )
 
 
-def solve_exact(
-    instance: PlanningInstance, mode: str = "literal"
-) -> tuple[Solution, CostBreakdown]:
-    """Optimal solution in the selected constraint mode, solved by HiGHS.
+def solve_exact(instance: PlanningInstance) -> tuple[Solution, CostBreakdown]:
+    """Optimal solution, solved by HiGHS.
 
     Raises TooLarge above the model size cap, Infeasible when no solution
     exists, and RuntimeError on any other solver failure.
     """
-    model = build_model(instance, mode)
+    model = build_model(instance)
     objective, values = solve_model(model)
     solution = assignment_to_solution(instance, values)
     logger.debug(
-        "solve_exact (%s): objective %.9g, %d binaries, %d continuous, %d rows",
-        mode, objective, len(model.binaries), len(model.continuous), len(model.rows),
+        "solve_exact: objective %.9g, %d binaries, %d continuous, %d rows",
+        objective, len(model.binaries), len(model.continuous), len(model.rows),
     )
     return solution, evaluate(instance, solution)

@@ -26,8 +26,8 @@ from util_instances import (
 
 
 def retention_instance():
-    """Single peak period; serving the late request from the origin needs a
-    literal-mode self-copy, and that optimum is clean in both modes."""
+    """Single peak period; the origin serves one request per period and
+    keeps its replica for the second without a copy."""
     servers = [
         Server(0, OWNED, storage=100, bandwidth=10, cost=0.0),
         Server(1, HIRABLE, storage=100, bandwidth=10, cost=4.0),
@@ -44,18 +44,9 @@ def retention_instance():
 
 
 class TestOracleO1:
-    def test_literal_fixture(self):
-        sol, cost = solve_exact(tiny_instance_o1(), mode="literal")
-        assert cost.total == pytest.approx(70 + 4 / 60 + 0.0, abs=1e-9)
-        assert cost.attend == 4.0
-        assert cost.backlog == 60.0
-        assert cost.replication == 6.0
-        assert cost.financial_normalized == pytest.approx(4.0 / 60.0)
-        assert check_feasibility(tiny_instance_o1(), sol, "literal") == []
-
     def test_corrected_fixture_hires_one_slot(self):
         inst = tiny_instance_o1()
-        sol, cost = solve_exact(inst, mode="corrected")
+        sol, cost = solve_exact(inst)
         assert cost.total == pytest.approx(66 + 4 / 60, abs=1e-9)
         assert cost.replication == 2.0  # one copy to the hired server
         assert sorted(sol.hires) == [(1, 1)]
@@ -63,19 +54,18 @@ class TestOracleO1:
 
     def test_evaluate_matches_reported(self):
         inst = tiny_instance_o1()
-        sol, cost = solve_exact(inst, mode="corrected")
+        sol, cost = solve_exact(inst)
         again = evaluate(inst, sol)
         assert again.total == pytest.approx(cost.total)
 
 
-def test_retention_optimum_clean_in_both_modes():
+def test_retention_optimum_is_clean_and_copies_nothing():
     inst = retention_instance()
-    sol, cost = solve_exact(inst, mode="literal")
-    assert check_feasibility(inst, sol, "literal") == []
+    sol, cost = solve_exact(inst)
     assert check_feasibility(inst, sol, "corrected") == []
-    # Serve one request per period from the origin; one self-copy retains
-    # the replica for the second period.
-    assert cost.attend == 2.0 and cost.backlog == 30.0 and cost.replication == 2.0
+    # Serve one request per period from the origin; the replica persists
+    # into the second period without a copy.
+    assert cost.attend == 2.0 and cost.backlog == 30.0 and cost.replication == 0.0
     assert cost.financial_normalized == 0.0
 
 
@@ -90,7 +80,7 @@ def test_owned_coverage_hires_nothing():
         Request(1, 0, 1.0, {2: 8.0}, 1.0),
     ]
     inst = PlanningInstance(servers, contents, requests, horizon=3, client_bandwidth=8)
-    sol, cost = solve_exact(inst, mode="corrected")
+    sol, cost = solve_exact(inst)
     assert sol.hires == set()
     assert cost.financial_normalized == 0.0
     assert cost.total == 2.0
@@ -98,19 +88,19 @@ def test_owned_coverage_hires_nothing():
 
 def test_each_solve_logs_one_debug_record(caplog):
     with caplog.at_level(logging.DEBUG, logger="flashcrowd.lpio"):
-        solve_exact(tiny_instance_o1(), "literal")
-        solve_exact(tiny_instance_o1(), "corrected")
+        solve_exact(tiny_instance_o1())
+        solve_exact(retention_instance())
     assert [r.name for r in caplog.records] == ["flashcrowd.lpio"] * 2
 
 
 def test_infeasible_reported():
     with pytest.raises(Infeasible):
-        solve_exact(infeasible_instance(), mode="corrected")
+        solve_exact(infeasible_instance())
 
 
 def test_too_large_guard():
     with pytest.raises(TooLarge):
-        solve_exact(oversized_instance(), mode="literal")
+        solve_exact(oversized_instance())
 
 
 def test_oracle_is_minimal_over_random_feasible_solutions():
@@ -123,7 +113,7 @@ def test_oracle_is_minimal_over_random_feasible_solutions():
     while found < 6:
         inst = random_tiny_instance(rng)
         try:
-            _sol, cost = solve_exact(inst, mode="corrected")
+            _sol, cost = solve_exact(inst)
         except Infeasible:
             continue
         found += 1
@@ -137,19 +127,14 @@ def test_oracle_is_minimal_over_random_feasible_solutions():
             assert evaluate(inst, candidate).total >= cost.total - 1e-9
 
 
-def test_random_tiny_instances_mode_consistent():
+def test_random_tiny_optima_are_feasible():
     rng = random.Random(11)
     solved = 0
     while solved < 8:
         inst = random_tiny_instance(rng)
         try:
-            lit_sol, lit_cost = solve_exact(inst, mode="literal")
-            cor_sol, cor_cost = solve_exact(inst, mode="corrected")
+            sol, _cost = solve_exact(inst)
         except Infeasible:
             continue
         solved += 1
-        assert check_feasibility(inst, lit_sol, "literal") == []
-        assert check_feasibility(inst, cor_sol, "corrected") == []
-        # The corrected encoding only removes copy obligations, so its
-        # optimum can never be worse.
-        assert cor_cost.total <= lit_cost.total + 1e-9
+        assert check_feasibility(inst, sol, "corrected") == []

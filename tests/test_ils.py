@@ -130,7 +130,7 @@ def o1_optimal_plan():
 class TestRvnd:
     def test_returns_oracle_optimum_unchanged(self):
         inst, plan = o1_optimal_plan()
-        _sol, cost = solve_exact(inst, mode="corrected")
+        _sol, cost = solve_exact(inst)
         assert plan.total_cost() == pytest.approx(cost.total)
         before = dict(plan.placements)
         rvnd(plan, random.Random(0), IlsParams())
@@ -494,7 +494,7 @@ class TestPerturb:
 class TestSolve:
     def test_o1_within_five_percent_of_oracle(self):
         inst = tiny_instance_o1()
-        _sol, opt = solve_exact(inst, mode="corrected")
+        _sol, opt = solve_exact(inst)
         hits = 0
         for seed in range(10):
             _s, cost, _stats = solve(inst, IlsParams(seed=seed))

@@ -54,7 +54,7 @@ class TestExportCounts:
     def test_variable_and_constraint_counts_match_enumeration(self):
         # Hand enumeration per the documented emission rules.
         inst = micro_instance()
-        lp = build_model(inst, mode="literal")
+        lp = build_model(inst)
         vars_by_prefix = {}
         for v in [*lp.binaries, *lp.continuous]:
             vars_by_prefix.setdefault(v.split("_")[0], set()).add(v)
@@ -81,14 +81,14 @@ class TestExportCounts:
         assert counts["r4_1"] == 4  # i * j * t
         assert counts["r5"] == 4
         assert counts["r6"] == 1
-        assert counts["r10"] == 2  # j * {t=1} (t+tr=2 <= T), y(t+tr) exists
-        assert counts["r11"] == 8  # j * l * t in [start..T]
+        assert counts["r10c"] == 8  # j * l * t in [start..T]
+        assert counts["r11c"] == 2  # l * {t=2}, both y vars exist
         assert counts["r12"] == 3  # (j,t) combos with an existing y var
         assert counts["r13"] == 2  # i * hirable * t
 
     def test_corrected_families(self):
         inst = micro_instance()
-        lp = build_model(inst, mode="corrected")
+        lp = build_model(inst)
         fams = {name.split("_")[0] for name, *_ in lp.rows}
         assert "r10c" in fams and "r11c" in fams
         assert not any(n.startswith("r10_") or n.startswith("r11_") for n, *_ in lp.rows)
@@ -109,9 +109,7 @@ class TestExportCounts:
 @pytest.mark.parametrize(
     "make,mode,digest",
     [
-        (tiny_instance_o1, "literal", "ec7d7a10f37048d4f5e31aa087f7462a7a8de186e185d0b3b60e48123582a652"),
         (tiny_instance_o1, "corrected", "230673c5c43063aec15cab9f931fa19228f3fb051a93415a13243bf59e4646fa"),
-        (micro_instance, "literal", "d028256744c1c7fab354000dd050398f13d315ee78b6cfb4bd9b62cee260231f"),
         (micro_instance, "corrected", "e2ebe2a586d1ea00ac595e701a4d49954d93d87f79c7f87886aa926a1b25bcf5"),
     ],
 )
@@ -123,7 +121,7 @@ def test_export_text_digest(make, mode, digest):
 def assert_text_reads_back(inst, mode):
     # The written text parses back to the built model; coefficients and
     # right-hand sides compare as written, at 12 significant digits.
-    built, parsed = build_model(inst, mode), parse_lp(export_lp(inst, mode))
+    built, parsed = build_model(inst), parse_lp(export_lp(inst, mode))
 
     def rows(model):
         return [
@@ -139,7 +137,7 @@ def assert_text_reads_back(inst, mode):
     assert built.continuous == parsed.continuous
 
 
-@pytest.mark.parametrize("mode", ["literal", "corrected"])
+@pytest.mark.parametrize("mode", ["corrected"])
 @pytest.mark.parametrize("make", [tiny_instance_o1, micro_instance])
 def test_text_reads_back_as_the_built_model(make, mode):
     assert_text_reads_back(make(), mode)
@@ -147,8 +145,7 @@ def test_text_reads_back_as_the_built_model(make, mode):
 
 @pytest.mark.parametrize("seed,draw", GOLDEN_CASES)
 def test_golden_instance_text_reads_back_as_the_built_model(seed, draw):
-    for mode in ("literal", "corrected"):
-        assert_text_reads_back(golden_instance(seed, draw), mode)
+    assert_text_reads_back(golden_instance(seed, draw), "corrected")
 
 
 def test_solve_exact_writes_and_parses_no_text(monkeypatch):
@@ -159,25 +156,23 @@ def test_solve_exact_writes_and_parses_no_text(monkeypatch):
         monkeypatch.setattr(lpio, name, refuse)
     monkeypatch.setattr(lpio, "re", None)
     monkeypatch.setattr(lpio, "_TOKEN", None)
-    for mode, optimum in (("literal", 70 + 4 / 60), ("corrected", 66 + 4 / 60)):
-        assert solve_exact(tiny_instance_o1(), mode)[1].total == pytest.approx(optimum, abs=1e-9)
+    assert solve_exact(tiny_instance_o1())[1].total == pytest.approx(66 + 4 / 60, abs=1e-9)
 
 
 def test_time_limit_raises_runtime_error_not_infeasible():
     # bench/make_optima.py stores an unknown optimum on this error.
-    model = build_model(random_midsize_instance(random.Random(0)), "corrected")
+    model = build_model(random_midsize_instance(random.Random(0)))
     with pytest.raises(RuntimeError, match="Time limit reached"):
         solve_model(model, time_limit=1e-3)
 
 
 class TestRoundTrip:
     def test_objective_of_oracle_assignment_matches_evaluate(self):
-        for mode in ("literal", "corrected"):
-            inst = tiny_instance_o1()
-            sol, cost = solve_exact(inst, mode=mode)
-            lp = parse_lp(export_lp(inst, mode=mode))
-            assignment = solution_to_assignment(inst, sol)
-            assert lp.objective_value(assignment) == pytest.approx(cost.total, abs=1e-9)
+        inst = tiny_instance_o1()
+        sol, cost = solve_exact(inst)
+        lp = parse_lp(export_lp(inst))
+        assignment = solution_to_assignment(inst, sol)
+        assert lp.objective_value(assignment) == pytest.approx(cost.total, abs=1e-9)
 
     def test_parser_handles_signs_and_floats(self):
         text = (
@@ -196,19 +191,21 @@ class TestExternalSolver:
 
     def test_micro_instance_optimum_matches_oracle(self):
         # Serving 6 at t=1 and 4 at t=2 from the origin costs two
-        # attendances and no backlog. The replica on the origin at t=2
-        # needs one self-copy in literal mode (cost 1) and persists for free
-        # in corrected mode. Any other plan adds a copy, a hire or backlog.
-        for mode, optimum in (("literal", 3.0), ("corrected", 2.0)):
-            obj, _values = solve_lp_text(export_lp(micro_instance(), mode=mode))
-            assert obj == pytest.approx(optimum, abs=1e-9)
+        # attendances and no backlog; the replica on the origin persists to
+        # t=2 for free. Any other plan adds a copy, a hire or backlog.
+        obj, _values = solve_lp_text(export_lp(micro_instance()))
+        assert obj == pytest.approx(2.0, abs=1e-9)
 
     def test_o1_optimum_matches_oracle(self):
         # The optima of test_exact.TestOracleO1.
-        for mode, optimum in (("literal", 70 + 4 / 60), ("corrected", 66 + 4 / 60)):
-            obj, _values = solve_lp_text(export_lp(tiny_instance_o1(), mode=mode))
-            assert obj == pytest.approx(optimum, abs=1e-9)
+        obj, _values = solve_lp_text(export_lp(tiny_instance_o1()))
+        assert obj == pytest.approx(66 + 4 / 60, abs=1e-9)
 
     def test_infeasible_model_raises_infeasible(self):
         with pytest.raises(Infeasible):
             solve_lp_text(export_lp(infeasible_instance(), mode="corrected"))
+
+
+def test_export_accepts_only_the_corrected_mode():
+    with pytest.raises(ValueError, match="unknown mode 'literal'"):
+        export_lp(micro_instance(), "literal")

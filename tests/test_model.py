@@ -28,8 +28,7 @@ def simple_instance(storage=50, start=1):
 
 
 def served_solution():
-    # Replica held only while used: clean in both modes (literal mode
-    # charges copies for every retained replica period).
+    # Replica held only while used.
     return Solution(
         tuples=[AttendanceTuple(0, 0, 1, {0: 10.0})],
         replicas={(0, 0, 1)},
@@ -152,8 +151,11 @@ class TestFeasibility:
     def test_valid_solution_clean(self):
         inst = simple_instance()
         sol = served_solution()
-        assert check_feasibility(inst, sol, "literal") == []
         assert check_feasibility(inst, sol, "corrected") == []
+
+    def test_only_the_corrected_mode_is_accepted(self):
+        with pytest.raises(ValueError, match="unknown mode 'literal'"):
+            check_feasibility(simple_instance(), served_solution(), "literal")
 
     def test_missing_replica_violates_r5(self):
         inst = simple_instance()
@@ -186,7 +188,7 @@ class TestFeasibility:
             tuples=[AttendanceTuple(0, 1, 1, {0: 10.0, 1: 10.0})],
             replicas={(0, 1, 1)},
         )
-        families = {v.family for v in check_feasibility(inst, sol, "literal")}
+        families = {v.family for v in check_feasibility(inst, sol, "corrected")}
         assert "r2" in families  # 20 bytes on a 10-byte server
         assert "r13" in families  # hired server without a slot
         assert "r8" in families
@@ -194,10 +196,10 @@ class TestFeasibility:
     def test_unfulfilled_demand_violates_r4(self):
         inst = simple_instance()
         sol = Solution(replicas={(0, 0, 1), (0, 0, 2)})
-        families = {v.family for v in check_feasibility(inst, sol, "literal")}
+        families = {v.family for v in check_feasibility(inst, sol, "corrected")}
         assert "r4" in families and "r1" in families
 
-    def test_literal_r10_requires_outgoing_copy(self):
+    def test_persisted_replica_needs_no_copy(self):
         inst = tiny_instance_o1()
         sol = Solution(
             tuples=[
@@ -209,35 +211,26 @@ class TestFeasibility:
             replicas={(0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 0, 4)},
             backlog={(1, 1): 10.0, (1, 2): 20.0, (1, 3): 10.0},
         )
-        lit = {v.family for v in check_feasibility(inst, sol, "literal")}
-        cor = {v.family for v in check_feasibility(inst, sol, "corrected")}
-        # Literal: keeping the origin replica at period 2 needs a copy sent
-        # at period 1; corrected: persistence makes the same solution clean.
-        assert "r10" in lit
-        assert cor == set()
+        # The origin replica persists from period 1 to 4 with no copy sent.
+        assert check_feasibility(inst, sol, "corrected") == []
 
-    def test_literal_r11_destination_semantics(self):
+    def test_copy_needs_the_source_not_the_destination(self):
         inst = tiny_instance_o1()
-        base = dict(
+        # Copy 0 -> 1 at period 1 (arrives 2): the source holds the content
+        # at the send period, the destination does not.
+        sol = Solution(
             tuples=[
                 AttendanceTuple(0, 0, 1, {0: 10.0, 1: 10.0}),
                 AttendanceTuple(0, 0, 2, {0: 10.0, 1: 10.0}),
             ],
-            backlog={},
-        )
-        # Copy 0 -> 1 at period 1 (arrives 2): literal wants the destination
-        # to hold the content at the send period; corrected wants the source.
-        sol = Solution(
             replications=[Replication(0, 0, 1, 1)],
             replicas={(0, 0, 1), (0, 1, 2)},
-            **base,
+            backlog={},
         )
-        lit = {v.family for v in check_feasibility(inst, sol, "literal")}
-        cor = {v.family for v in check_feasibility(inst, sol, "corrected")}
-        assert "r11" in lit
-        assert "r11" not in cor and "r10c" not in cor
+        families = {v.family for v in check_feasibility(inst, sol, "corrected")}
+        assert "r10c" not in families and "r11c" not in families
         # r3: both requests at 10 bytes in period 1 is fine per request.
-        assert "r3" not in lit
+        assert "r3" not in families
 
 
 def test_spread_demand():
