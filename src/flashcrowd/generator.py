@@ -233,7 +233,10 @@ def _parse_phases(path: str, section) -> tuple[PhaseSchedule, ...]:
 def read_generator_config(path: str, seed: int | None = None) -> GeneratorConfig:
     cp = configparser.ConfigParser()
     with open(path) as fh:
-        cp.read_file(fh)
+        try:
+            cp.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(str(exc)) from None  # names the file and line
     if "generator" not in cp:
         raise ValueError(f"{path}: missing [generator] section")
     gen = cp["generator"]

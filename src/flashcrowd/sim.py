@@ -203,7 +203,10 @@ def _required(section, key: str) -> str:
 def read_scenario(path: str) -> ScenarioConfig:
     cp = configparser.ConfigParser()
     with open(path) as fh:
-        cp.read_file(fh)
+        try:
+            cp.read_file(fh)
+        except configparser.Error as exc:
+            raise ScenarioInvalid(str(exc)) from None  # names the file and line
     for optional in ("detector", "ils"):
         if optional not in cp:
             cp.add_section(optional)

@@ -358,6 +358,25 @@ def test_missing_required_key_is_named(tmp_path, key):
         read_scenario(edited_scenario1(tmp_path, key))
 
 
+@pytest.mark.parametrize(
+    "name,edit,named",
+    [
+        ("gen.ini", lambda text: text.replace("u_max = 4", "u_max = 4\nu_max = 5", 1),
+         "option 'u_max' in section 'content.0' already exists"),
+        ("scenario.ini", lambda text: text + "\n[demand]\nsizes = 0:1900\n",
+         "section 'demand' already exists"),
+    ],
+    ids=["option-twice-in-generator", "section-twice-in-scenario"],
+)
+def test_duplicate_option_or_section_names_the_file(tmp_path, name, edit, named):
+    # configparser's own errors are not ValueErrors; both once escaped unwrapped.
+    path = scenario1_ini(tmp_path)
+    edited = tmp_path / name
+    edited.write_text(edit(edited.read_text()))
+    with pytest.raises(ScenarioInvalid, match=f"{re.escape(str(edited))}.*{re.escape(named)}$"):
+        read_scenario(str(path))
+
+
 def test_csv_trace_replays_like_its_generator(tmp_path, scenarios, reports):
     # The same bins read from a `[trace] file` CSV instead of `generator`.
     csv_path = tmp_path / "trace.csv"
