@@ -163,10 +163,6 @@ class PlanningInstance:
                     raise InstanceInvalid(f"request {r.id}: demand period {t} outside horizon")
 
     @property
-    def owned(self) -> list[Server]:
-        return [s for s in self.servers if s.kind == OWNED]
-
-    @property
     def hirable(self) -> list[Server]:
         return [s for s in self.servers if s.kind == HIRABLE]
 
@@ -207,9 +203,6 @@ class AttendanceTuple:
     server: int
     period: int
     served: dict[int, float]  # request id -> bytes attended
-
-    def key(self) -> tuple[int, int, int]:
-        return (self.content, self.server, self.period)
 
 
 @dataclass(frozen=True)
