@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from flashcrowd.instances import spread_demand
@@ -35,7 +37,63 @@ def served_solution():
     )
 
 
+def instance_with(**changes):
+    """A one-server, one-content, one-request instance with ``changes``."""
+    args = dict(
+        servers=[Server(0, OWNED, 50, 20)],
+        contents=[Content(0, 10, 1, 0, 1.0)],
+        requests=[Request(0, 0, 2.5, {1: 10.0})],
+        horizon=2,
+        client_bandwidth=10,
+    )
+    return PlanningInstance(**{**args, **changes})
+
+
+# Each load check of the model: a construction that fails it and the message.
+INVALID = {
+    "server-kind": (lambda: Server(0, "rented", 10, 10), "bad kind 'rented'"),
+    "server-storage": (lambda: Server(0, OWNED, 0, 10), "storage/bandwidth must be positive"),
+    "server-bandwidth": (lambda: Server(0, OWNED, 10, -1), "storage/bandwidth must be positive"),
+    "content-size": (lambda: Content(0, 0, 1, 0, 1.0), "size must be positive"),
+    "copy-cost": (lambda: Content(0, 10, 1, 0, -1.0), "negative copy cost"),
+    "duplicate-server": (
+        lambda: instance_with(servers=[Server(0, OWNED, 50, 20)] * 2), "duplicate server ids"),
+    "duplicate-content": (
+        lambda: instance_with(contents=[Content(0, 10, 1, 0, 1.0)] * 2), "duplicate content ids"),
+    "duplicate-request": (
+        lambda: instance_with(requests=[Request(0, 0, 2.5, {1: 10.0})] * 2),
+        "duplicate request ids"),
+    "horizon": (lambda: instance_with(horizon=0), "horizon must cover at least one period"),
+    "client-bandwidth": (
+        lambda: instance_with(client_bandwidth=0), "client bandwidth must be positive"),
+    "replication-delay": (
+        lambda: instance_with(replication_delay=-1), "delays must be nonnegative"),
+    "provisioning-delay": (
+        lambda: instance_with(provisioning_delay=-1), "delays must be nonnegative"),
+    "billing-granularity": (
+        lambda: instance_with(billing_granularity=0), "billing granularity must be >= 1"),
+    "unknown-origin": (
+        lambda: instance_with(contents=[Content(0, 10, 1, 9, 1.0)]), "unknown origin server 9"),
+    "start-outside-horizon": (
+        lambda: instance_with(contents=[Content(0, 10, 3, 0, 1.0)]), "start outside horizon"),
+    "unknown-content": (
+        lambda: instance_with(requests=[Request(0, 9, 2.5, {1: 10.0})]), "unknown content 9"),
+    "negative-demand": (
+        lambda: instance_with(requests=[Request(0, 0, 2.5, {1: -5.0, 2: 15.0})]),
+        "negative demand at 1"),
+    "demand-outside-horizon": (
+        lambda: instance_with(requests=[Request(0, 0, 2.5, {1: 5.0, 3: 5.0})]),
+        "demand period 3 outside horizon"),
+}
+
+
 class TestInstanceValidation:
+    @pytest.mark.parametrize("case", INVALID)
+    def test_invalid_input_rejected_at_load(self, case):
+        build, message = INVALID[case]
+        with pytest.raises(InstanceInvalid, match=re.escape(message)):
+            build()
+
     def test_demand_must_match_content_size(self):
         with pytest.raises(InstanceInvalid):
             PlanningInstance(
