@@ -295,7 +295,10 @@ class PeriodRow:
     included, and ``backlog`` is ``offered - attended``. Under
     ``run_baseline`` it is the bytes newly due in the period; the policy
     serves those plus the backlog carried in, and ``backlog`` is what is
-    left of both.
+    left of both. So ``backlog`` and ``RunReport.backlog_periods`` (its sum)
+    count unserved per-period budgets under the pipeline and cumulative late
+    bytes under the baseline: two 3-byte requests served 1 byte a period
+    leave backlogs 1, 1, 1, 0, 0, 0 (sum 3) and 1, 2, 3, 2, 1, 0 (sum 9).
     """
 
     period: int

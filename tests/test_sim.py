@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import math
 import re
+import textwrap
 from collections import Counter
 
 import pytest
@@ -218,9 +219,14 @@ def test_failed_replan_is_not_solved_again(monkeypatch, scenarios):
 def edited_scenario1(tmp_path, key, value=None):
     """The scenario1 fixture with the line of ``key`` set to ``value``, or
     deleted when value is None; "section.key" edits the key in that section,
-    and adds it there when the fixture does not set it."""
+    and adds it there when the fixture does not set it. A "[section]" key
+    renames that section's heading to value."""
     path = scenario1_ini(tmp_path)
     lines = path.read_text().splitlines()
+    if key.startswith("["):
+        lines[lines.index(key)] = value
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
     section, _, key = key.rpartition(".")
     start = lines.index(f"[{section}]") if section else 0
     at = next((i for i in range(start, len(lines)) if lines[i].startswith(f"{key} = ")), None)
@@ -283,6 +289,10 @@ def edited_scenario1(tmp_path, key, value=None):
         ("levels", "-1"),
         ("ils.d", "0"),
         ("swap_frac", "2"),
+        ("replan_interval", "0"),
+        ("owned", "huge:2"),
+        ("autoscaling.vm_type", "huge"),
+        ("[demand]", "[demands]"),
     ],
 )
 def test_bad_scenario_values_rejected_at_load(tmp_path, key, value):
@@ -352,6 +362,13 @@ def test_bad_generator_number_names_file_section_and_key(tmp_path, line, edited,
         read_scenario(str(path))
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_trace_no_longer_than_the_detector_window_fails_at_run_start(tmp_path, policy):
+    scenario = read_scenario(edited_scenario1(tmp_path, "w", "330"))  # the horizon
+    with pytest.raises(ScenarioInvalid, match="^trace shorter than the detector window$"):
+        POLICIES[policy](scenario)
+
+
 @pytest.mark.parametrize("key", ["client_bandwidth", "owned", "types", "vm_type"])
 def test_missing_required_key_is_named(tmp_path, key):
     with pytest.raises(ScenarioInvalid, match=f"missing key '{key}'"):
@@ -391,3 +408,44 @@ def test_csv_trace_replays_like_its_generator(tmp_path, scenarios, reports):
         # The CSV carries no bin width, so it reads as 1 instead of 60.
         assert got.provenance != want.provenance
         assert dataclasses.replace(got, provenance=want.provenance) == want
+
+
+def test_backlog_periods_means_a_different_quantity_under_each_policy(tmp_path):
+    # One owned server (pipeline) or one instance (baseline, min = max = 1)
+    # of bandwidth 1, client bandwidth 1 and two 3-byte requests in bin 0;
+    # no event, so no replan. Both policies serve 1 byte a period and finish
+    # at period 6. The pipeline's backlog is the unserved part of each
+    # period's per-request budgets; the baseline's is its cumulative late
+    # bytes. So the two runs' backlog_periods do not compare like with like.
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,content_id,count\n0,0,2\n5,0,0\n")
+    ini = tmp_path / "backlog.ini"
+    ini.write_text(textwrap.dedent(f"""\
+        [scenario]
+        seed = 0
+
+        [trace]
+        file = {trace}
+
+        [demand]
+        sizes = 0:3
+        client_bandwidth = 1
+
+        [servers]
+        owned = unit:1
+        types = unit:storage=10,bandwidth=1,cost=1
+
+        [autoscaling]
+        vm_type = unit
+        min = 1
+        max = 1
+        """))
+    scenario = read_scenario(str(ini))
+    pipeline, baseline = run_pipeline(scenario), run_baseline(scenario)
+    assert pipeline.events == [] and pipeline.replans == []
+    for report in (pipeline, baseline):
+        assert [r.attended for r in report.rows] == [1.0] * 6
+        assert report.unserved_bytes == 0.0
+    assert [r.backlog for r in pipeline.rows] == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+    assert [r.backlog for r in baseline.rows] == [1.0, 2.0, 3.0, 2.0, 1.0, 0.0]
+    assert (pipeline.backlog_periods, baseline.backlog_periods) == (3.0, 9.0)
