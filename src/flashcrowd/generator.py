@@ -231,7 +231,7 @@ def _parse_phases(path: str, section) -> tuple[PhaseSchedule, ...]:
 
 
 def read_generator_config(path: str, seed: int | None = None) -> GeneratorConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # a '%' in a value is text
     with open(path) as fh:
         try:
             cp.read_file(fh)

@@ -201,7 +201,7 @@ def _required(section, key: str) -> str:
 
 
 def read_scenario(path: str) -> ScenarioConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # a '%' in a value is text
     with open(path) as fh:
         try:
             cp.read_file(fh)

@@ -321,6 +321,7 @@ def test_server_type_missing_field_is_named(tmp_path, value, missing):
         ("sizes", "0:x", "[demand] sizes: bad number 'x'"),
         ("owned", "large:two", "[servers] owned: bad number 'two'"),
         ("penalty", "x", "[demand] penalty: bad number 'x'"),
+        ("penalty", "5%", "[demand] penalty: bad number '5%'"),
         ("replan_interval", "five", "[scenario] replan_interval: bad number 'five'"),
         ("detector.w", "x", "[detector] w: bad number 'x'"),
         ("iters", "-1", "[ils] iters: iter_max must be >= 1"),
@@ -340,6 +341,7 @@ def test_bad_number_names_its_key(tmp_path, key, value, named):
     "line,edited,named",
     [
         ("u_max = 4", "u_max = x", "[content.0] u_max: bad number 'x'"),
+        ("u_max = 4", "u_max = 4%", "[content.0] u_max: bad number '4%'"),
         ("alpha0 = 0.6", "alpha0 = low", "[content.2] alpha0: bad number 'low'"),
         ("horizon = 330", "horizon = long", "[generator] horizon: bad number 'long'"),
         ("[content.1]", "[content.one]", "[content.one] section id: bad number 'one'"),
