@@ -13,7 +13,7 @@ constant M (the maximum individual cost coefficient), which makes the
 financial term a tiebreaker among equal time costs.
 
 Feasibility is checked constraint family by constraint family; the
-family names are those of the MILP rows in ``lpio``.
+family names follow the MILP rows in ``lpio``.
 
 Erratum: the replica-coupling families are r10c and r11c, not the source
 model's r10/r11 as printed. Printed r10 requires a replica of a content on

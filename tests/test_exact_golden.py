@@ -25,7 +25,7 @@ from util_instances import random_tiny_instance
 
 PATH = pathlib.Path(__file__).parent / "data" / "exact_golden.json"
 CASES = tuple((seed, 0) for seed in range(40)) + tuple((23, draw) for draw in range(1, 5))
-MODE = "corrected"  # each optimum's key in the file
+MODE = "corrected"  # the file keys each optimum by it, and each test id names it
 
 
 def instance(seed: int, draw: int):
