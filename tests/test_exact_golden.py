@@ -1,16 +1,22 @@
 """Pinned optima of seeded tiny planning instances.
 
 ``data/exact_golden.json`` holds, for each case, the optimal objective
-under the "corrected" constraints, or null when no solution exists. The file was
-written by an exhaustive enumerator, an exact solver independent of the
-MILP, and stands in for it as the reference ``solve_exact`` is checked
-against. A case (seed, draw) is the instance that ``random_tiny_instance``
+under the "corrected" constraints, or null when no solution exists. The
+file was written by an exhaustive enumerator, an exact solver independent
+of the MILP, and stands in for it as the reference ``solve_exact`` is
+checked against. Each case also keeps, under "literal", the enumerator's
+optimum under the source model's printed r10/r11 (the erratum in
+``flashcrowd.model``), which the package no longer encodes: r10c/r11c only
+drop copy obligations, so the optimum ``solve_exact`` finds never exceeds
+it. A case (seed, draw) is the instance that ``random_tiny_instance``
 returns on its draw-th call (from 0) on ``random.Random(seed)``: seeds
 0-39 at draw 0, and draws 1-4 of seed 23, the random stream the two exact
 solvers were first compared on. Rewrite the file only for a change meant
 to move an optimum, with
 
     PYTHONPATH=src python tests/test_exact_golden.py
+
+which rewrites the "corrected" values and carries the "literal" ones over.
 """
 
 import json
@@ -26,6 +32,7 @@ from util_instances import random_tiny_instance
 PATH = pathlib.Path(__file__).parent / "data" / "exact_golden.json"
 CASES = tuple((seed, 0) for seed in range(40)) + tuple((23, draw) for draw in range(1, 5))
 MODE = "corrected"  # the file keys each optimum by it, and each test id names it
+PRINTED = "literal"  # the key and test id of the printed r10/r11 optimum
 
 
 def instance(seed: int, draw: int):
@@ -47,11 +54,16 @@ def golden():
     return {(c["seed"], c["draw"]): c for c in json.loads(PATH.read_text())}
 
 
-@pytest.mark.parametrize("mode", [MODE])
+@pytest.mark.parametrize("mode", [PRINTED, MODE])
 @pytest.mark.parametrize("seed,draw", CASES)
 def test_optimum_matches_golden(golden, seed, draw, mode):
     inst = instance(seed, draw)
     want = golden[seed, draw][mode]
+    if mode == PRINTED:
+        if want is not None:
+            got = optimum(inst)
+            assert got is not None and got <= want + 1e-9
+        return
     if want is None:
         with pytest.raises(Infeasible):
             solve_exact(inst)
@@ -64,8 +76,9 @@ def test_optimum_matches_golden(golden, seed, draw, mode):
 
 
 if __name__ == "__main__":
+    printed = {(c["seed"], c["draw"]): c[PRINTED] for c in json.loads(PATH.read_text())}
     records = [
-        {"seed": s, "draw": d, MODE: optimum(instance(s, d))}
+        {"seed": s, "draw": d, PRINTED: printed[s, d], MODE: optimum(instance(s, d))}
         for s, d in CASES
     ]
     PATH.write_text(json.dumps(records, indent=1) + "\n")
