@@ -1,9 +1,12 @@
 """Pinned ILS searches on seeded midsize instances.
 
-``data/ils_golden.json`` holds, for each (instance seed, search seed), the
-final cost and the search counters of ``ils.solve`` with exact move
-rollback. A change to how moves are evaluated or screened must reproduce
-the same search: cost to 1e-9 and identical counters. Rewrite the file
+``data/ils_golden.json`` holds, for each case (instance seed, search
+parameters), the final cost and the search counters of ``ils.solve`` with
+exact move rollback. Most cases run the default delay ``d = 1`` and swap
+sample; the rest run ``d = 2`` or a swap sample of 0.3, so a screen that
+treats either parameter differently moves a count. A change to how moves
+are evaluated or screened must reproduce the same search: cost to 1e-9 and
+identical counters. Rewrite the file
 only for a change that is meant to move the search, with
 
     PYTHONPATH=src python tests/test_ils_golden.py
@@ -19,24 +22,57 @@ from flashcrowd.ils import IlsParams, solve
 from util_instances import random_midsize_instance
 
 PATH = pathlib.Path(__file__).parent / "data" / "ils_golden.json"
-CASES = ((0, 0), (4, 1), (5, 0), (7, 1), (8, 0), (11, 1))
+
+def params(seed: int, **kw) -> IlsParams:
+    return IlsParams(iter_max=2, level_max=2, seed=seed, **kw)
+
+
+# (instance seed, search parameters)
+CASES = (
+    (0, params(0)),
+    (4, params(1)),
+    (5, params(0)),
+    (7, params(1)),
+    (8, params(0)),
+    (11, params(1)),
+    (2, params(0, d=2)),
+    (9, params(1, d=2)),
+    (3, params(0, swap_sample_fraction=0.3)),
+    (12, params(1, swap_sample_fraction=0.3)),
+)
 PINNED = ("moves_tried", "moves_accepted", "moves_screened", "moves_failed", "perturbations")
 
 
-def search(instance_seed: int, search_seed: int) -> dict:
+def case_id(instance_seed: int, p: IlsParams) -> str:
+    """``instance-seed``, plus any parameter off its default."""
+    name = f"{instance_seed}-{p.seed}"
+    if p.d != IlsParams.d:
+        name += f"-d{p.d}"
+    if p.swap_sample_fraction != IlsParams.swap_sample_fraction:
+        name += f"-swap{p.swap_sample_fraction}"
+    return name
+
+
+def search(instance_seed: int, p: IlsParams) -> dict:
     inst = random_midsize_instance(random.Random(instance_seed))
-    _sol, cost, stats = solve(inst, IlsParams(iter_max=2, level_max=2, seed=search_seed))
-    record = {"instance_seed": instance_seed, "search_seed": search_seed, "cost": cost.total}
+    _sol, cost, stats = solve(inst, p)
+    record = {
+        "instance_seed": instance_seed,
+        "search_seed": p.seed,
+        "d": p.d,
+        "swap_sample_fraction": p.swap_sample_fraction,
+        "cost": cost.total,
+    }
     record.update((name, stats[name]) for name in PINNED)
     return record
 
 
-@pytest.mark.parametrize("instance_seed,search_seed", CASES)
-def test_search_matches_golden(instance_seed, search_seed):
-    golden = json.loads(PATH.read_text())
-    case = golden[CASES.index((instance_seed, search_seed))]
-    got = search(instance_seed, search_seed)
-    assert (case["instance_seed"], case["search_seed"]) == (instance_seed, search_seed)
+@pytest.mark.parametrize("index", range(len(CASES)), ids=[case_id(*c) for c in CASES])
+def test_search_matches_golden(index):
+    case = json.loads(PATH.read_text())[index]
+    got = search(*CASES[index])
+    head = ("instance_seed", "search_seed", "d", "swap_sample_fraction")
+    assert {n: got[n] for n in head} == {n: case[n] for n in head}
     assert abs(got["cost"] - case["cost"]) <= 1e-9
     assert {n: got[n] for n in PINNED} == {n: case[n] for n in PINNED}
 
