@@ -30,6 +30,7 @@ starts the chain. The printed rows were last solved on the O1 fixture
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -175,12 +176,13 @@ class PlanningInstance:
         raw = math.ceil((t - self.provisioning_delay) / self.billing_granularity)
         return min(max(raw, 1), self.billing_slots)
 
-    @property
+    @functools.cached_property
     def big_m(self) -> float:
         """Largest individual cost coefficient; normalizes the financial term.
 
         The backlog coefficient is bounded with the largest requested content
-        size standing in for the backlog amount, so M is a constant.
+        size standing in for the backlog amount, so M is a constant, computed
+        once per instance (nothing changes an instance after construction).
         """
         values = [1.0]
         max_l = max((self.content_by_id[r.content].size for r in self.requests), default=0.0)
