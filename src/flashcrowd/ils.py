@@ -15,10 +15,11 @@ improves. Perturbation applies level + 1 random feasible moves from
 {Shift, Swap, Split, Merge}.
 
 How a candidate is judged: each neighborhood has one candidate list in
-search order (``candidates``); descent walks it in one loop, and
-perturbation draws one entry and builds only that move. Shift, split, merge
-and d-delay each move slices of one source event to one target (server,
-period); swap exchanges the servers of two events. Every event has a
+search order (``candidates``); descent walks it, and perturbation draws one
+entry and builds only that move. Shift, split, merge and d-delay each move
+slices of one source event to one target (server, period), and list their
+candidates as (source, targets) groups (``_groups``), which ``candidates``
+flattens; swap exchanges the servers of two events. Every event has a
 ``_Source`` holding its sorted slices and the screen terms that do not
 depend on the target, read once. The plan caches the sources of its live
 events across passes: each is stamped with the counters of its (content,
@@ -28,8 +29,16 @@ windows or its hire slot change. A one-source candidate is checked against
 its source's terms for range, fresh key and cost bound; a swap is checked
 against both events' terms for fresh keys and cost bound (it keeps every
 period). Both add the terms in ``cannot_improve``'s order, so each rejects
-exactly what ``cannot_improve`` would reject on those grounds. A move is
-built only for a survivor, and then only its bandwidth is checked.
+exactly what ``cannot_improve`` would reject on those grounds. A shift or
+split target keeps the source's period and moves to another server, so its
+bound is the source's attendance and refund terms plus a new hire on the
+target, which is >= 0. Descent first checks that bound without the hire,
+the source's floor (``_Source.floor_rejects``), once per source: when the
+floor rejects, rounding being monotone, every target of the source rejects
+too, and all are counted as tried and screened in one step. Merge and
+d-delay have no such floor (d-delay's earlier target has a negative backlog
+term). A move is built only for a survivor, and then only its bandwidth is
+checked.
 ``cannot_improve``, which screens a built move without touching the plan,
 stays as the reference that tests hold the screens to. It flags moves that
 would certainly fail (an existing fresh destination event, a period outside
@@ -74,6 +83,8 @@ logger = logging.getLogger(__name__)
 EPS = 1e-9
 
 NEIGHBORHOODS = ("shift", "swap", "split", "merge", "ddelay")
+# The neighborhoods whose source groups descent screens with one floor.
+FLOORED = ("shift", "split")
 
 
 @dataclass(frozen=True)
@@ -685,9 +696,9 @@ def _restore(plan, snap, entries) -> None:
 
 # -- candidate generation ----------------------------------------------------
 #
-# The one-source candidate lists are generators over the plan as it is when
-# their first candidate is taken; the search either rejects a candidate, which
-# leaves the plan exactly as it was, or accepts it and stops taking candidates.
+# The one-source candidate groups are generators over the plan as it is when
+# their first group is taken; the search either rejects a candidate, which
+# leaves the plan exactly as it was, or accepts it and stops taking groups.
 
 
 class _Source:
@@ -748,6 +759,28 @@ class _Source:
                 if not w.origin and sum(w.uses.values()) == n:
                     self.copy_refund = inst.content_by_id[k].copy_cost
                 break
+
+    def floor_rejects(self, plan: OperationalPlan) -> bool:
+        """True only if ``rejects`` rejects every fresh target on another
+        server in the same period, as shift and split have.
+
+        For such a target ``rejects`` skips the backlog, and a fresh one
+        never has an ``x_count`` at (request, j2, t): that would mean the
+        event (k, j2, t) exists, which the fresh check rejects first. So
+        ``rejects`` adds, in this order, each request's ending and starting
+        attendance, minus the hire refund, plus the hire of j2 if it is new,
+        which is >= 0, minus the copy refund. The floor adds the same terms
+        in the same order without the new hire; rounding is monotone, so a
+        floor >= 0.0 means every such target's bound is too.
+        """
+        if self.reqs is None:
+            self._read_terms(plan)
+        bound = 0.0
+        for _req, ends, attend in self.reqs:
+            if ends:
+                bound -= attend
+            bound += attend
+        return bound - self.hire_refund - self.copy_refund >= 0.0
 
     def rejects(self, plan: OperationalPlan, j2: int, t2: int, fresh: bool) -> bool:
         k, j, t = self.key
@@ -831,27 +864,30 @@ def _swap_rejects(plan: OperationalPlan, pair) -> bool:
     return bound - a.copy_refund - b.copy_refund >= 0.0
 
 
-def _shift_targets(plan: OperationalPlan):
+def _other_servers(plan: OperationalPlan) -> dict[int, list[int]]:
+    server_ids = sorted(plan.inst.server_by_id)
+    return {j: [j2 for j2 in server_ids if j2 != j] for j in server_ids}
+
+
+def _shift_groups(plan: OperationalPlan):
     """Every event to every other server."""
-    server_ids = sorted(plan.inst.server_by_id)
+    others = _other_servers(plan)
     for key in sorted(plan.events):
-        src = plan.source(key)
-        for j2 in server_ids:
-            if j2 != key[1]:
-                yield src, j2, key[2]
+        yield plan.source(key), [(j2, key[2]) for j2 in others[key[1]]]
 
 
-def _split_targets(plan: OperationalPlan):
+def _split_groups(plan: OperationalPlan):
     """One request's slices of a shared event to every other server."""
-    server_ids = sorted(plan.inst.server_by_id)
+    others = _other_servers(plan)
     for key in sorted(plan.events):
-        for src in plan.source(key).parts():
-            for j2 in server_ids:
-                if j2 != key[1]:
-                    yield src, j2, key[2]
+        parts = plan.source(key).parts()
+        if parts:
+            targets = [(j2, key[2]) for j2 in others[key[1]]]
+            for src in parts:
+                yield src, targets
 
 
-def _merge_targets(plan: OperationalPlan):
+def _merge_groups(plan: OperationalPlan):
     """Each event onto each other event of its (content, period)."""
     groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for key in sorted(plan.events):
@@ -862,20 +898,33 @@ def _merge_targets(plan: OperationalPlan):
         srcs = [plan.source(key) for key in group]
         for i, a in enumerate(srcs):
             for b in srcs[i + 1 :]:
-                yield b, a.key[1], a.key[2]
-                yield a, b.key[1], b.key[2]
+                yield b, [a.key[1:]]
+                yield a, [b.key[1:]]
 
 
-def _delay_targets(plan: OperationalPlan, d: int):
+def _delay_groups(plan: OperationalPlan, d: int):
     """Each event d periods later and d periods earlier."""
     tf = plan.inst.horizon
     for key in sorted(plan.events):
         k, j, t = key
         periods = [t2 for t2 in (t + d, t - d) if 1 <= t2 <= tf]
         if periods:
-            src = plan.source(key)
-            for t2 in periods:
-                yield src, j, t2
+            yield plan.source(key), [(j, t2) for t2 in periods]
+
+
+def _groups(plan: OperationalPlan, name: str, d: int):
+    """The one-source neighborhood ``name`` in search order, as (source,
+    targets) groups: the ``_Source`` whose slices move, and the (server,
+    period) targets it is tried at, in order. Shift and split targets keep
+    the source's period and change its server, so ``_Source.floor_rejects``
+    can screen a whole group of theirs at once (``FLOORED``)."""
+    if name == "shift":
+        return _shift_groups(plan)
+    if name == "split":
+        return _split_groups(plan)
+    if name == "merge":
+        return _merge_groups(plan)
+    return _delay_groups(plan, d)
 
 
 def _swap_pairs(keys, rng: random.Random, fraction: float) -> list[tuple]:
@@ -921,19 +970,15 @@ def candidates(plan: OperationalPlan, name: str, rng: random.Random, params: Ils
     """The candidate list of neighborhood ``name``, in search order.
 
     Shift, split, merge and d-delay give (source, j2, t2): a ``_Source``
-    whose slices move to server j2 at period t2. Swap gives its sample of
-    event pairs, drawn from ``rng`` on the call so that it never moves
-    within the rng stream.
+    whose slices move to server j2 at period t2, the groups of ``_groups``
+    flattened. Swap gives its sample of event pairs, drawn from ``rng`` on
+    the call so that it never moves within the rng stream.
     """
     if name == "swap":
         return _swap_pairs(sorted(plan.events), rng, params.swap_sample_fraction)
-    if name == "shift":
-        return _shift_targets(plan)
-    if name == "split":
-        return _split_targets(plan)
-    if name == "merge":
-        return _merge_targets(plan)
-    return _delay_targets(plan, params.d)
+    return (
+        (src, j2, t2) for src, targets in _groups(plan, name, params.d) for j2, t2 in targets
+    )
 
 
 def _move(plan: OperationalPlan, name: str, candidate) -> Move:
@@ -1020,12 +1065,17 @@ def rvnd(
 ) -> OperationalPlan:
     """First-improvement descent over randomly ordered neighborhoods.
 
-    Each pass walks one neighborhood's candidates in search order. A
+    Each pass walks one neighborhood's candidates in search order: the swap
+    sample, or the (source, targets) groups of ``_groups``. A shift or
+    split group whose source's floor rejects (``_Source.floor_rejects``)
+    has all its targets counted as tried and screened at once. Any other
     candidate that its screen rejects (``_Source.rejects`` or
     ``_swap_rejects``, then ``_exceeds_bandwidth`` on the built move) is
     counted as screened; any other is applied, and kept only if it improves.
-    The plan's cached screen sources go when the descent ends: a finished
-    plan is only cloned, and a clone starts with an empty cache.
+    Since the floor rejects only what ``rejects`` would, the search is the
+    one that screens every target alone. The plan's cached screen sources
+    go when the descent ends: a finished plan is only cloned, and a clone
+    starts with an empty cache.
     """
     stats = stats if stats is not None else SearchStats()
     active = list(NEIGHBORHOODS)
@@ -1033,33 +1083,45 @@ def rvnd(
     while active:
         name = active[rng.randrange(len(active))]
         passes += 1
-        swap = name == "swap"
         fresh = name != "merge"
+        floored = name in FLOORED
+        if name == "swap":
+            groups = [(None, candidates(plan, name, rng, params))]
+        else:
+            groups = _groups(plan, name, params.d)
         improved = False
-        for cand in candidates(plan, name, rng, params):
-            tried += 1
-            if swap:
-                if _swap_rejects(plan, cand):
-                    screened += 1
-                    continue
-            else:
-                src, j2, t2 = cand
-                if src.rejects(plan, j2, t2, fresh):
-                    screened += 1
-                    continue
-            move = _move(plan, name, cand)
-            if _exceeds_bandwidth(plan, move):
-                screened += 1
+        for src, targets in groups:
+            if floored and src.floor_rejects(plan):
+                tried += len(targets)
+                screened += len(targets)
                 continue
-            applied = apply_move(plan, move)
-            if applied is None:
-                failed += 1
-            elif applied.delta < -EPS:
-                accepted += 1
-                improved = True
+            for target in targets:
+                tried += 1
+                if src is None:
+                    if _swap_rejects(plan, target):
+                        screened += 1
+                        continue
+                    move = _move(plan, name, target)
+                else:
+                    j2, t2 = target
+                    if src.rejects(plan, j2, t2, fresh):
+                        screened += 1
+                        continue
+                    move = _move(plan, name, (src, j2, t2))
+                if _exceeds_bandwidth(plan, move):
+                    screened += 1
+                    continue
+                applied = apply_move(plan, move)
+                if applied is None:
+                    failed += 1
+                elif applied.delta < -EPS:
+                    accepted += 1
+                    improved = True
+                    break
+                else:
+                    revert_move(plan, applied)
+            if improved:
                 break
-            else:
-                revert_move(plan, applied)
         if improved:
             active = list(NEIGHBORHOODS)
         else:

@@ -349,6 +349,50 @@ class TestScreen:
                     assert plan_state(plan) == before
         assert rejected >= 1000 and kept >= 50 and collided >= 20
 
+    def test_source_floor_is_sound(self):
+        # Descent screens a whole group of a FLOORED neighbourhood with its
+        # source's floor and counts every target as screened. Whenever the
+        # floor rejects, rejects and cannot_improve must both reject each
+        # target of the group. Flattened, the groups must be the candidate
+        # lists that perturbation draws from, in the order stated here.
+        floored = passed = 0
+        for _stage, plan in self.staged_plans():
+            before = plan_state(plan)
+            servers = sorted(plan.inst.server_by_id)
+            for name, d in (("shift", 1), ("split", 1), ("merge", 1), ("ddelay", 1), ("ddelay", 2)):
+                fresh = name != "merge"
+                for src, targets in ils._groups(plan, name, d):
+                    if name not in ils.FLOORED or not src.floor_rejects(plan):
+                        passed += name in ils.FLOORED
+                        continue
+                    floored += 1
+                    for j2, t2 in targets:
+                        assert src.rejects(plan, j2, t2, fresh), (name, src.key, j2, t2)
+                        assert cannot_improve(plan, ils._move(plan, name, (src, j2, t2)))
+            assert plan_state(plan) == before
+            # Shift: each event to every other server; split: each request's
+            # slices of a shared event, in request order, likewise.
+            expected = {"shift": [], "split": []}
+            for key in sorted(plan.events):
+                slices = sorted(plan.events[key])
+                reqs = sorted({req for req, _o in slices})
+                others = [(j2, key[2]) for j2 in servers if j2 != key[1]]
+                expected["shift"] += [(key, slices, target) for target in others]
+                if len(reqs) > 1:
+                    expected["split"] += [
+                        (key, [sl for sl in slices if sl[0] == req], target)
+                        for req in reqs
+                        for target in others
+                    ]
+            for name in ("shift", "split"):
+                flat = [
+                    (src, j2, t2) for src, targets in ils._groups(plan, name, 1)
+                    for j2, t2 in targets
+                ]
+                assert flat == list(candidates(plan, name, None, IlsParams()))
+                assert [(src.key, src.slices, (j2, t2)) for src, j2, t2 in flat] == expected[name]
+        assert floored >= 500 and passed >= 50
+
     def test_rvnd_counts_every_outcome(self):
         inst = random_midsize_instance(random.Random(3))
         stats = SearchStats()
