@@ -30,15 +30,11 @@ its source's terms for range, fresh key and cost bound; a swap is checked
 against both events' terms for fresh keys and cost bound (it keeps every
 period). Both add the terms in ``cannot_improve``'s order, so each rejects
 exactly what ``cannot_improve`` would reject on those grounds. A shift or
-split target keeps the source's period and moves to another server, so its
-bound is the source's attendance and refund terms plus a new hire on the
-target, which is >= 0. Descent first checks that bound without the hire,
-the source's floor (``_Source.floor_rejects``), once per source: when the
-floor rejects, rounding being monotone, every target of the source rejects
-too, and all are counted as tried and screened in one step. Merge and
-d-delay have no such floor (d-delay's earlier target has a negative backlog
-term). A move is built only for a survivor, and then only its bandwidth is
-checked.
+split target keeps the period and changes the server, so its bound is the
+source's own terms plus a new hire, which is >= 0: descent checks those
+terms alone (``_Source.floor_rejects``) once per source, and when they
+reject, so does every target. A move is built only for a survivor, and
+then only its bandwidth is checked.
 ``cannot_improve``, which screens a built move without touching the plan,
 stays as the reference that tests hold the screens to. It flags moves that
 would certainly fail (an existing fresh destination event, a period outside
@@ -83,7 +79,10 @@ logger = logging.getLogger(__name__)
 EPS = 1e-9
 
 NEIGHBORHOODS = ("shift", "swap", "split", "merge", "ddelay")
-# The neighborhoods whose source groups descent screens with one floor.
+# The neighborhoods whose source groups descent screens with one floor
+# (``_Source.floor_rejects``). d-delay has none: its earlier target has a
+# negative backlog term. Nor has merge: its target event may already attend
+# the request, so the target adds no attendance.
 FLOORED = ("shift", "split")
 
 
@@ -915,9 +914,7 @@ def _delay_groups(plan: OperationalPlan, d: int):
 def _groups(plan: OperationalPlan, name: str, d: int):
     """The one-source neighborhood ``name`` in search order, as (source,
     targets) groups: the ``_Source`` whose slices move, and the (server,
-    period) targets it is tried at, in order. Shift and split targets keep
-    the source's period and change its server, so ``_Source.floor_rejects``
-    can screen a whole group of theirs at once (``FLOORED``)."""
+    period) targets it is tried at, in order."""
     if name == "shift":
         return _shift_groups(plan)
     if name == "split":
@@ -1068,14 +1065,13 @@ def rvnd(
     Each pass walks one neighborhood's candidates in search order: the swap
     sample, or the (source, targets) groups of ``_groups``. A shift or
     split group whose source's floor rejects (``_Source.floor_rejects``)
-    has all its targets counted as tried and screened at once. Any other
-    candidate that its screen rejects (``_Source.rejects`` or
+    has all its targets counted as tried and screened at once; the floor
+    rejects only what ``rejects`` would, so the search is unchanged. Any
+    other candidate that its screen rejects (``_Source.rejects`` or
     ``_swap_rejects``, then ``_exceeds_bandwidth`` on the built move) is
     counted as screened; any other is applied, and kept only if it improves.
-    Since the floor rejects only what ``rejects`` would, the search is the
-    one that screens every target alone. The plan's cached screen sources
-    go when the descent ends: a finished plan is only cloned, and a clone
-    starts with an empty cache.
+    The plan's cached screen sources go when the descent ends: a finished
+    plan is only cloned, and a clone starts with an empty cache.
     """
     stats = stats if stats is not None else SearchStats()
     active = list(NEIGHBORHOODS)
