@@ -6,8 +6,8 @@ exact move rollback. Most cases run the default delay ``d = 1`` and swap
 sample; the rest run ``d = 2`` or a swap sample of 0.3, so a screen that
 treats either parameter differently moves a count. A change to how moves
 are evaluated or screened must reproduce the same search: cost to 1e-9 and
-identical counters. Rewrite the file
-only for a change that is meant to move the search, with
+identical counters. Rewrite the file only for a change that is meant to
+move the search, with
 
     PYTHONPATH=src python tests/test_ils_golden.py
 """
@@ -22,6 +22,7 @@ from flashcrowd.ils import IlsParams, solve
 from util_instances import random_midsize_instance
 
 PATH = pathlib.Path(__file__).parent / "data" / "ils_golden.json"
+
 
 def params(seed: int, **kw) -> IlsParams:
     return IlsParams(iter_max=2, level_max=2, seed=seed, **kw)
