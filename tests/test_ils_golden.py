@@ -10,8 +10,12 @@ identical counters. Rewrite the file only for a change that is meant to
 move the search, with
 
     PYTHONPATH=src python tests/test_ils_golden.py
+
+``test_digest_of_98_searches`` pins a wider sweep in one hash: every
+counter of 98 searches, on more instances and seeds than the file holds.
 """
 
+import hashlib
 import json
 import pathlib
 import random
@@ -76,6 +80,34 @@ def test_search_matches_golden(index):
     assert {n: got[n] for n in head} == {n: case[n] for n in head}
     assert abs(got["cost"] - case["cost"]) <= 1e-9
     assert {n: got[n] for n in PINNED} == {n: case[n] for n in PINNED}
+
+
+# sha256 of the 98 searches of ``digest_searches``; see its docstring.
+DIGEST = "ecd944ec63c85591c18664cc87ba1c2f2b1711bf0fdf879cbdfb9fce08ec7712"
+
+
+def digest_searches():
+    """The (instance seed, search parameters) of the digest, in its order:
+    for each instance seed 0..13, search seeds 0..2 each at d = 1 then 2,
+    then search seed 0 with a swap sample of 0.3."""
+    return [
+        (s, p)
+        for s in range(14)
+        for p in [params(x, d=d) for x in range(3) for d in (1, 2)]
+        + [params(0, swap_sample_fraction=0.3)]
+    ]
+
+
+def test_digest_of_98_searches():
+    # sha256 over repr((instance seed, params, cost, sorted counters)) of
+    # each search, with ``wall_time`` left out.
+    h = hashlib.sha256()
+    for instance_seed, p in digest_searches():
+        inst = random_midsize_instance(random.Random(instance_seed))
+        _sol, cost, stats = solve(inst, p)
+        stats.pop("wall_time")
+        h.update(repr((instance_seed, p, cost.total, sorted(stats.items()))).encode())
+    assert h.hexdigest() == DIGEST
 
 
 if __name__ == "__main__":
