@@ -22,10 +22,10 @@ candidates as (source, targets) groups (``_groups``), which ``candidates``
 flattens; swap exchanges the servers of two events. Every event has a
 ``_Source`` holding its sorted slices and the screen terms that do not
 depend on the target, read once. The plan caches the sources of its live
-events across passes: each is stamped with the counters of its (content,
-server) and (server, billing slot), which place and unplace bump and a
-rollback restores, so a source is reused until its event, its replica
-windows or its hire slot change. A one-source candidate is checked against
+events across passes, and the cache describes the plan as ``apply_move``
+found it: ``apply_move`` starts the plan on an empty cache, a failed apply
+or a revert puts the old one back with the rest of the plan, and a kept
+move leaves the new one. A one-source candidate is checked against
 its source's terms for range, fresh key and cost bound; a swap is checked
 against both events' terms for fresh keys and cost bound (it keeps every
 period). Both add the terms in ``cannot_improve``'s order, so each rejects
@@ -54,7 +54,6 @@ screening changes no search outcome.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import random
@@ -162,7 +161,8 @@ class OperationalPlan:
             self._pen[r.id] = acc
         # Billing slot of each period 0..horizon + 1.
         self.slot = [inst.slot_of(t) for t in range(tf + 2)]
-        self._init_screen_cache()
+        # Screen sources of live events (``source``); see ``apply_move``.
+        self.sources: dict[tuple[int, int, int], _Source] = {}
         # Origin replicas are pinned for the whole content lifetime.
         for c in inst.contents:
             w = _Window(c.start, tf + 1, origin=True)
@@ -175,24 +175,11 @@ class OperationalPlan:
                     f"origin server {c.origin} cannot store its own contents"
                 )
 
-    def _init_screen_cache(self) -> None:
-        # Screen sources of live events (``source``), each valid while the
-        # stamps it was built under hold. place and unplace bump the stamp of
-        # the (content, server) they change, and on a hirable server that of
-        # its (server, billing slot); apply_move's undo record restores both
-        # stamp tables and the cache with the plan.
-        self.sources: dict[tuple[int, int, int], _Source] = {}
-        self.kj_stamp: dict[tuple[int, int], int] = {}
-        self.slot_stamp: dict[tuple[int, int], int] = {}
-        self._ticks = itertools.count(1)
-
     def source(self, key: tuple[int, int, int]) -> "_Source":
         """The screen source of live event ``key``, cached across passes."""
-        k, j, t = key
-        stamps = (self.kj_stamp.get((k, j), 0), self.slot_stamp.get((j, self.slot[t]), 0))
         src = self.sources.get(key)
-        if src is None or src.stamps != stamps:
-            src = self.sources[key] = _Source(key, sorted(self.events[key]), stamps)
+        if src is None:
+            src = self.sources[key] = _Source(key, sorted(self.events[key]))
         return src
 
     # -- cost helpers -----------------------------------------------------
@@ -328,7 +315,6 @@ class OperationalPlan:
             # All uses precede lo, so truncating to lo keeps them intact.
             self._occupy(j, -self.inst.content_by_id[k2].size, lo, w.end)
             w.end = lo
-            self.kj_stamp[(k2, j)] = next(self._ticks)
         return True
 
     # -- placement primitives ----------------------------------------------
@@ -353,7 +339,6 @@ class OperationalPlan:
         self._ensure_window(k, j, t, allow_evict=allow_evict)
         self.placements[(req, o)] = (j, t)
         self.events.setdefault((k, j, t), set()).add((req, o))
-        self.kj_stamp[(k, j)] = next(self._ticks)
         self.bw_used[(j, t)] = self.bw_used.get((j, t), 0.0) + amount
         self.client_used[(req, t)] = self.client_used.get((req, t), 0.0) + amount
         self.backlog_cost += self._delay_cost(req, o, t, amount)
@@ -363,7 +348,6 @@ class OperationalPlan:
             self.attend_cost += inst.request_by_id[req].attend_cost
         if srv.kind == HIRABLE:
             zkey = (j, self.slot[t])
-            self.slot_stamp[zkey] = next(self._ticks)
             self.z_count[zkey] = self.z_count.get(zkey, 0) + 1
             if self.z_count[zkey] == 1:
                 self.fin_cost += srv.cost / self.m
@@ -378,8 +362,6 @@ class OperationalPlan:
         ev.discard((req, o))
         if not ev:
             del self.events[(k, j, t)]
-            self.sources.pop((k, j, t), None)
-        self.kj_stamp[(k, j)] = next(self._ticks)
         self.bw_used[(j, t)] -= amount
         self.client_used[(req, t)] -= amount
         self.backlog_cost -= self._delay_cost(req, o, t, amount)
@@ -391,7 +373,6 @@ class OperationalPlan:
         srv = inst.server_by_id[j]
         if srv.kind == HIRABLE:
             zkey = (j, self.slot[t])
-            self.slot_stamp[zkey] = next(self._ticks)
             self.z_count[zkey] -= 1
             if self.z_count[zkey] == 0:
                 del self.z_count[zkey]
@@ -418,7 +399,7 @@ class OperationalPlan:
         new.fin_cost = self.fin_cost
         new._pen = self._pen
         new.slot = self.slot
-        new._init_screen_cache()
+        new.sources = {}
         return new
 
     def cost_snapshot(self) -> tuple[float, float, float, float]:
@@ -503,6 +484,8 @@ class AppliedMove:
     # (table, key, value before the move, or _ABSENT) for every plan entry
     # the move can touch; restoring them undoes the move exactly.
     entries: list[tuple[dict, object, object]]
+    # The plan's screen sources before the move, put back on revert.
+    sources: dict
 
 
 def _undo_entries(plan: OperationalPlan, move: Move) -> list[tuple[dict, object, object]]:
@@ -511,8 +494,8 @@ def _undo_entries(plan: OperationalPlan, move: Move) -> list[tuple[dict, object,
     Moves never evict, so a relocation from (j, t) to (j2, t2) touches only
     its slice's placement and, at both ends, the event, bandwidth, client,
     attendance and hire entries, the content's windows and the server's
-    storage column, and with them the event's cached screen source and the
-    stamps of its (content, server) and (server, slot).
+    storage column. The screen sources are not entries: ``apply_move`` keeps
+    the whole cache aside instead.
     """
     inst = plan.inst
     slot = plan.slot
@@ -540,9 +523,6 @@ def _undo_entries(plan: OperationalPlan, move: Move) -> list[tuple[dict, object,
         (plan.z_count, zs, None),
         (plan.windows, windows, lambda wins: [w.copy() for w in wins]),
         (plan.occ, servers, list),
-        (plan.sources, events, None),
-        (plan.kj_stamp, windows, None),
-        (plan.slot_stamp, zs, None),
     ):
         for key in table_keys:
             value = table.get(key, _ABSENT)
@@ -660,11 +640,16 @@ def _exceeds_bandwidth(plan: OperationalPlan, move: Move) -> bool:
 def apply_move(plan: OperationalPlan, move: Move) -> AppliedMove | None:
     """Apply a move transactionally; returns its undo record, or None.
 
-    A failed move leaves the plan exactly as it was.
+    A failed move leaves the plan exactly as it was. The screen sources
+    cached for the plan as found are set aside, and the plan goes on with
+    an empty cache; a failed move and ``revert_move`` put the old cache
+    back, and a kept move leaves the new one, so the cache never outlives
+    the plan it describes.
     """
     snap = plan.cost_snapshot()
     before = plan.total_cost()
     entries = _undo_entries(plan, move)
+    sources, plan.sources = plan.sources, {}
     try:
         for (sl, _target) in move.relocations:
             plan.unplace(*sl)
@@ -674,23 +659,24 @@ def apply_move(plan: OperationalPlan, move: Move) -> AppliedMove | None:
         for (sl, (j, t)) in move.relocations:
             plan.place(sl[0], sl[1], j, t)
     except _MoveFailed:
-        _restore(plan, snap, entries)
+        _restore(plan, snap, entries, sources)
         return None
-    return AppliedMove(plan.total_cost() - before, snap, entries)
+    return AppliedMove(plan.total_cost() - before, snap, entries, sources)
 
 
 def revert_move(plan: OperationalPlan, applied: AppliedMove) -> None:
     """Roll back a successfully applied move exactly."""
-    _restore(plan, applied.snapshot, applied.entries)
+    _restore(plan, applied.snapshot, applied.entries, applied.sources)
 
 
-def _restore(plan, snap, entries) -> None:
+def _restore(plan, snap, entries, sources) -> None:
     for table, key, value in entries:
         if value is _ABSENT:
             table.pop(key, None)
         else:
             table[key] = value
     plan.restore_costs(snap)
+    plan.sources = sources
 
 
 # -- candidate generation ----------------------------------------------------
@@ -703,11 +689,10 @@ def _restore(plan, snap, entries) -> None:
 class _Source:
     """Slices of one source event ``key`` that move to one target, and the
     screen terms of moving them that hold for every target: attendance that
-    ends, and the hire and copy refunds. The terms are read on the first
-    ``rejects``, so listing candidates for a perturbation draw reads none.
-    The plan caches each live event's source under the stamps it was built
-    with (``OperationalPlan.source``), together with its per-request
-    ``parts``, so the slices and terms last while the event is unchanged.
+    ends, and the hire and copy refunds. The terms are read on first use
+    (``terms``), so listing candidates for a perturbation draw reads none.
+    The plan caches each live event's source with its per-request ``parts``
+    (``OperationalPlan.source``) until a move is kept (``apply_move``).
 
     ``rejects`` adds each target's terms in the order ``cannot_improve``
     adds them, so it returns True exactly when ``cannot_improve`` would
@@ -715,12 +700,11 @@ class _Source:
     few lookups and without building the move.
     """
 
-    __slots__ = ("key", "slices", "stamps", "_parts", "reqs", "hire_refund", "copy_refund")
+    __slots__ = ("key", "slices", "_parts", "reqs", "hire_refund", "copy_refund")
 
-    def __init__(self, key, slices: list[tuple[int, int]], stamps=None) -> None:
+    def __init__(self, key, slices: list[tuple[int, int]]) -> None:
         self.key = key
         self.slices = slices
-        self.stamps = stamps
         self._parts = None
         self.reqs = None
 
@@ -736,14 +720,18 @@ class _Source:
                 self._parts = [_Source(self.key, sls) for sls in by_req.values()]
         return self._parts
 
-    def _read_terms(self, plan: OperationalPlan) -> None:
+    def terms(self, plan: OperationalPlan) -> list[tuple[int, bool, float]]:
+        """Per request, (request, whether its attendance at the event ends,
+        attendance cost); the first call also reads ``hire_refund`` and
+        ``copy_refund``."""
+        if self.reqs is not None:
+            return self.reqs
         inst = plan.inst
         k, j, t = self.key
         n = len(self.slices)
         per_req: dict[int, int] = {}
         for req, _o in self.slices:
             per_req[req] = per_req.get(req, 0) + 1
-        # (request, whether its attendance at (j, t) ends, attendance cost)
         self.reqs = [
             (req, plan.x_count[(req, j, t)] == count, inst.request_by_id[req].attend_cost)
             for req, count in per_req.items()
@@ -758,6 +746,7 @@ class _Source:
                 if not w.origin and sum(w.uses.values()) == n:
                     self.copy_refund = inst.content_by_id[k].copy_cost
                 break
+        return self.reqs
 
     def floor_rejects(self, plan: OperationalPlan) -> bool:
         """True only if ``rejects`` rejects every fresh target on another
@@ -772,10 +761,8 @@ class _Source:
         in the same order without the new hire; rounding is monotone, so a
         floor >= 0.0 means every such target's bound is too.
         """
-        if self.reqs is None:
-            self._read_terms(plan)
         bound = 0.0
-        for _req, ends, attend in self.reqs:
+        for _req, ends, attend in self.terms(plan):
             if ends:
                 bound -= attend
             bound += attend
@@ -785,8 +772,7 @@ class _Source:
         k, j, t = self.key
         if fresh and (k, j2, t2) in plan.events:
             return True
-        if self.reqs is None:
-            self._read_terms(plan)
+        reqs = self.terms(plan)
         bound = 0.0
         if t2 != t:  # only d-delay changes the period, and with it the backlog
             if t2 > plan.inst.horizon:
@@ -798,7 +784,7 @@ class _Source:
                 pen = plan._pen[req]
                 bound += (pen[t2] - pen[t]) * requests[req].demand[o]
         x_count = plan.x_count
-        for req, ends, attend in self.reqs:
+        for req, ends, attend in reqs:
             if ends:
                 bound -= attend
             if not x_count.get((req, j2, t2)):
@@ -834,13 +820,9 @@ def _swap_rejects(plan: OperationalPlan, pair) -> bool:
     fresh_a, fresh_b = (ka, jb, ta), (kb, ja, tb)
     if (fresh_a in events and fresh_a != b.key) or (fresh_b in events and fresh_b != a.key):
         return True
-    if a.reqs is None:
-        a._read_terms(plan)
-    if b.reqs is None:
-        b._read_terms(plan)
     bound = 0.0
     for src in (a, b):
-        for _req, ends, attend in src.reqs:
+        for _req, ends, attend in src.terms(plan):
             if ends:
                 bound -= attend
             bound += attend

@@ -407,16 +407,14 @@ def source_terms(src):
 
 
 def assert_sources_fresh(plan):
-    """Every cached source that the plan would hand out equals one built
-    from scratch now, with its per-request parts and any terms it read."""
+    """Every cached source equals one built from scratch now, with its
+    per-request parts and any terms it read."""
     assert set(plan.sources) <= set(plan.events)
-    for key, src in list(plan.sources.items()):
-        if plan.source(key) is not src:
-            continue  # stale: the lookup rebuilt it
+    for key, src in plan.sources.items():
         built = ils._Source(key, sorted(plan.events[key]))
         for ours, fresh in zip([src] + src.parts(), [built] + built.parts(), strict=True):
             if ours.reqs is not None:
-                fresh._read_terms(plan)
+                fresh.terms(plan)
             assert source_terms(ours) == source_terms(fresh), key
 
 
@@ -432,9 +430,11 @@ def read_all_terms(plan, rng):
 
 class TestSourceCache:
     def test_cached_sources_match_fresh_ones(self):
-        # Sources are cached across passes under (content, server) and
-        # (server, slot) stamps; place, unplace and the undo record keep
-        # them valid, whichever way the plan changes.
+        # Sources are cached across passes. apply_move starts the plan on an
+        # empty cache; a failed apply or a revert puts back the very dict it
+        # found, and a kept move (an apply, a perturbation) leaves the new
+        # one. A rollback that forgot the old dict would still leave a fresh
+        # cache, only an empty one, so the identity is checked as well.
         rng = random.Random(41)
         steps = dict.fromkeys(("apply", "fail", "revert", "perturb", "clone"), 0)
         for _ in range(4):
@@ -443,8 +443,13 @@ class TestSourceCache:
             for _step in range(40):
                 read_all_terms(plan, rng)
                 step = rng.choice(tuple(steps))
+                before = plan.sources
                 if step == "perturb":
-                    perturb(plan, rng.randrange(3), rng, IlsParams())
+                    stats = SearchStats()
+                    perturb(plan, rng.randrange(3), rng, IlsParams(), stats)
+                    # Each kept move drops the cache; listing the next
+                    # draw's candidates may fill the new one.
+                    assert (plan.sources is before) == (stats.perturbations == 0)
                 elif step == "clone":
                     plan = plan.clone()
                     assert not plan.sources
@@ -466,6 +471,7 @@ class TestSourceCache:
                         break
                     else:
                         continue
+                    assert plan.sources == {} if step == "apply" else plan.sources is before
                 steps[step] += 1
                 assert_sources_fresh(plan)
         assert min(steps.values()) >= 10, steps
