@@ -198,9 +198,10 @@ def flash_windows(config: GeneratorConfig) -> list[tuple[int, int]]:
 
 
 def _number(path: str, section, key: str, kind: type, default=None, text: str | None = None):
-    """``[section] key`` of the file at ``path`` read as ``kind``; an absent
-    key gives ``default`` or, with no default, fails. ``text`` is a number
-    taken from inside the key's compound value or from the section name."""
+    """``[section] key`` of the file at ``path`` read as a finite ``kind``;
+    an absent key gives ``default`` or, with no default, fails. ``text`` is
+    a number taken from inside the key's compound value or from the section
+    name."""
     if text is None:
         text = section.get(key)
         if text is None:
@@ -208,9 +209,12 @@ def _number(path: str, section, key: str, kind: type, default=None, text: str | 
                 raise ValueError(f"{path}: missing key {key!r} in [{section.name}]")
             return default
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
-        raise ValueError(f"{path}: [{section.name}] {key}: bad number {text!r}") from None
+        value = math.nan
+    if not -math.inf < value < math.inf:  # false for nan too
+        raise ValueError(f"{path}: [{section.name}] {key}: bad number {text!r}")
+    return value
 
 
 def _parse_phases(path: str, section) -> tuple[PhaseSchedule, ...]:

@@ -165,16 +165,20 @@ class ScenarioConfig:
 
 
 def _number(section, key: str, kind: type, default=None, text: str | None = None):
-    """``[section] key`` read as ``kind``, or ``default`` when the key is
-    absent; ``text`` is a number taken from inside the key's compound value."""
+    """``[section] key`` read as a finite ``kind``, or ``default`` when the
+    key is absent; ``text`` is a number taken from inside the key's compound
+    value."""
     if text is None:
         text = section.get(key)
         if text is None:
             return default
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
-        raise ScenarioInvalid(f"[{section.name}] {key}: bad number {text!r}") from None
+        value = math.nan
+    if not -math.inf < value < math.inf:  # false for nan too
+        raise ScenarioInvalid(f"[{section.name}] {key}: bad number {text!r}")
+    return value
 
 
 def _parse_types(srv) -> dict[str, ServerType]:

@@ -322,6 +322,11 @@ def test_server_type_missing_field_is_named(tmp_path, value, missing):
         ("owned", "large:two", "[servers] owned: bad number 'two'"),
         ("penalty", "x", "[demand] penalty: bad number 'x'"),
         ("penalty", "5%", "[demand] penalty: bad number '5%'"),
+        # float() parses these, and every `< 0` check is False for nan.
+        ("client_bandwidth", "nan", "[demand] client_bandwidth: bad number 'nan'"),
+        ("penalty", "inf", "[demand] penalty: bad number 'inf'"),
+        ("types", "large:storage=4300,bandwidth=2600,cost=-inf",
+         "[servers] types: bad number '-inf'"),
         ("replan_interval", "five", "[scenario] replan_interval: bad number 'five'"),
         ("detector.w", "x", "[detector] w: bad number 'x'"),
         ("iters", "-1", "[ils] iters: iter_max must be >= 1"),
@@ -343,6 +348,9 @@ def test_bad_number_names_its_key(tmp_path, key, value, named):
         ("u_max = 4", "u_max = x", "[content.0] u_max: bad number 'x'"),
         ("u_max = 4", "u_max = 4%", "[content.0] u_max: bad number '4%'"),
         ("alpha0 = 0.6", "alpha0 = low", "[content.2] alpha0: bad number 'low'"),
+        ("alpha0 = 0.6", "alpha0 = nan", "[content.2] alpha0: bad number 'nan'"),
+        ("alpha0 = 0.6", "alpha0 = inf", "[content.2] alpha0: bad number 'inf'"),
+        ("up:100:150:0.06", "up:100:150:-inf", "[content.2] phases: bad number '-inf'"),
         ("horizon = 330", "horizon = long", "[generator] horizon: bad number 'long'"),
         ("[content.1]", "[content.one]", "[content.one] section id: bad number 'one'"),
         ("up:100:150:0.06", "up:100:end:0.06", "[content.2] phases: bad number 'end'"),
