@@ -471,7 +471,7 @@ class TestSourceCache:
                         break
                     else:
                         continue
-                    assert plan.sources == {} if step == "apply" else plan.sources is before
+                    assert (plan.sources == {}) if step == "apply" else (plan.sources is before)
                 steps[step] += 1
                 assert_sources_fresh(plan)
         assert min(steps.values()) >= 10, steps
