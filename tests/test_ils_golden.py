@@ -13,6 +13,9 @@ move the search, with
 
 ``test_digest_of_98_searches`` pins a wider sweep in one hash: every
 counter of 98 searches, on more instances and seeds than the file holds.
+``test_search_digest_of_98_searches`` hashes the same searches' cost and
+search counters alone, leaving out the counts of screened and failed moves,
+so a change to the screen alone must leave it unchanged.
 """
 
 import hashlib
@@ -98,16 +101,42 @@ def digest_searches():
     ]
 
 
-def test_digest_of_98_searches():
-    # sha256 over repr((instance seed, params, cost, sorted counters)) of
-    # each search, with ``wall_time`` left out.
-    h = hashlib.sha256()
+# sha256 of the same 98 searches, over the search alone; see
+# ``test_search_digest_of_98_searches``.
+SEARCH_DIGEST = "43e20c3328d207182a44473ce67c9d417bfe686f76bb9e9a1eabae7fe3840f31"
+# The counters that describe where the search went, not how much work the
+# screen saved it: a change to the screen alone leaves them as they are.
+SEARCH = ("moves_tried", "moves_accepted", "perturbations")
+
+
+def digest_runs():
+    """(instance seed, params, cost, stats without ``wall_time``) of each
+    search of ``digest_searches``, in its order."""
     for instance_seed, p in digest_searches():
         inst = random_midsize_instance(random.Random(instance_seed))
         _sol, cost, stats = solve(inst, p)
         stats.pop("wall_time")
-        h.update(repr((instance_seed, p, cost.total, sorted(stats.items()))).encode())
+        yield instance_seed, p, cost.total, stats
+
+
+def test_digest_of_98_searches():
+    # sha256 over repr((instance seed, params, cost, sorted counters)) of
+    # each search, with ``wall_time`` left out.
+    h = hashlib.sha256()
+    for instance_seed, p, cost, stats in digest_runs():
+        h.update(repr((instance_seed, p, cost, sorted(stats.items()))).encode())
     assert h.hexdigest() == DIGEST
+
+
+def test_search_digest_of_98_searches():
+    # sha256 over repr((instance seed, params, cost, the SEARCH counters in
+    # that order)) of each search. A screen that rejects more or fewer moves
+    # before applying them moves ``moves_screened`` and ``moves_failed``, and
+    # so DIGEST, but must leave this one as it is.
+    h = hashlib.sha256()
+    for instance_seed, p, cost, stats in digest_runs():
+        h.update(repr((instance_seed, p, cost, [stats[n] for n in SEARCH])).encode())
+    assert h.hexdigest() == SEARCH_DIGEST
 
 
 if __name__ == "__main__":
