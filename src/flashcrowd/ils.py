@@ -22,34 +22,33 @@ candidates as (source, targets) groups (``_groups``), which ``candidates``
 flattens; swap exchanges the servers of two events. Every event has a
 ``_Source`` holding its sorted slices and the screen terms that do not
 depend on the target, read once. The plan caches the sources of its live
-events across passes, and the cache describes the plan as ``apply_move``
-found it: ``apply_move`` starts the plan on an empty cache, a failed apply
-or a revert puts the old one back with the rest of the plan, and a kept
-move leaves the new one. A one-source candidate is checked against
-its source's terms for range, fresh key and cost bound; a swap is checked
-against both events' terms for fresh keys and cost bound (it keeps every
-period). Both add the terms in ``cannot_improve``'s order, so each rejects
-exactly what ``cannot_improve`` would reject on those grounds. A shift or
+events across passes. ``apply_move`` sets the cache aside and starts the
+plan on an empty one; a failed apply or a revert puts the old one back with
+the rest of the plan, and ``keep_move``, descent's accept, carries over
+every old source whose (content, server) windows and (server, slot) hire
+count the move has no undo entry for. A one-source candidate is
+checked against its source's terms for range, fresh key and cost bound; a
+swap against both events' terms for fresh keys and cost bound (it keeps
+every period). The cost bound is the exact backlog, attendance and hire
+delta (penalty prefix sums, x_count and z_count transitions), plus the copy
+cost of each target (content, server) that holds no replica window, which
+the move must pay for a new one or fail, minus the copy cost of every
+non-origin source window the move empties; any other target window can
+only add copy cost, so the bound never exceeds the true delta. A shift or
 split target keeps the period and changes the server, so its bound is the
-source's own terms plus a new hire, which is >= 0: descent checks those
-terms alone (``_Source.floor_rejects``) once per source, and when they
-reject, so does every target. A move is built only for a survivor, and
-then only its bandwidth is checked.
-``cannot_improve``, which screens a built move without touching the plan,
-stays as the reference that tests hold the screens to. It flags moves that
-would certainly fail (an existing fresh destination event, a period outside
-[arrival, horizon], bandwidth exceeded well beyond place's tolerance) and
-moves whose cost delta has a lower bound >= 0.0. The bound is the exact
-backlog, attendance and hire delta (penalty prefix sums, x_count and z_count
-transitions) minus the copy cost of every non-origin source window the move
-empties; target windows can only add copy cost, so the bound never exceeds
-the true delta. The search counts every rejection as screened. Descent
-accepts only delta < -EPS, and the threshold is 0.0 rather than -EPS so that
+source's own terms plus a new hire and a new copy, both >= 0: descent
+checks those terms alone (``_Source.floor_rejects``) once per source, and
+when they reject, so does every target. A move is built only for a
+survivor, and then only its bandwidth is checked (``_exceeds_bandwidth``).
+The search counts every rejection as screened. Descent accepts only
+delta < -EPS, and a bound is rejected at >= 0.0 rather than -EPS so that
 rounding between the bound and the applied delta cannot reject a move the
-search would accept. Only the remaining moves are applied. ``apply_move``
-records the prior value of every plan entry a move can touch and restores
-them exactly on failure or revert, so a rejected move leaves no trace and
-screening changes no search outcome.
+search would accept. The screens add their terms in the order of the
+reference screen in ``tests/util_screen.py``, which screens a built move
+and which the tests hold them to. ``apply_move`` records the prior value of
+every plan entry a move can touch and restores them exactly on failure or
+revert, so a rejected move leaves no trace and screening changes no search
+outcome.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ import logging
 import math
 import random
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .model import (
@@ -484,7 +482,8 @@ class AppliedMove:
     # (table, key, value before the move, or _ABSENT) for every plan entry
     # the move can touch; restoring them undoes the move exactly.
     entries: list[tuple[dict, object, object]]
-    # The plan's screen sources before the move, put back on revert.
+    # The plan's screen sources before the move, put back on revert and
+    # carried over, where the move left them untouched, by ``keep_move``.
     sources: dict
 
 
@@ -495,7 +494,8 @@ def _undo_entries(plan: OperationalPlan, move: Move) -> list[tuple[dict, object,
     its slice's placement and, at both ends, the event, bandwidth, client,
     attendance and hire entries, the content's windows and the server's
     storage column. The screen sources are not entries: ``apply_move`` keeps
-    the whole cache aside instead.
+    the whole cache aside instead, and ``keep_move`` reads these keys to
+    tell which sources the move left as they were.
     """
     inst = plan.inst
     slot = plan.slot
@@ -530,82 +530,6 @@ def _undo_entries(plan: OperationalPlan, move: Move) -> list[tuple[dict, object,
                 value = copy(value)
             entries.append((table, key, value))
     return entries
-
-
-def cannot_improve(plan: OperationalPlan, move: Move) -> bool:
-    """True only if ``apply_move(plan, move)`` would certainly fail or
-    return a delta >= -EPS. Reads the plan and never changes it.
-
-    Certain failures: a fresh key that exists and is not one of the move's
-    own source events, a target period outside [arrival, horizon], and a
-    server or client bandwidth that the move's targets would exceed by
-    clearly more than place's 1e-9 tolerance once its sources are freed.
-    Otherwise the move is rejected when a lower bound on its delta is
-    >= 0.0: the exact backlog, attendance and hire terms, minus the copy
-    cost of every non-origin source window that loses all its uses.
-    """
-    inst = plan.inst
-    requests = inst.request_by_id
-    servers = inst.server_by_id
-    placements = plan.placements
-    windows = plan.windows
-    slot = plan.slot
-    horizon = inst.horizon
-    bound = 0.0
-    sources = set()
-    x_delta: dict[tuple[int, int, int], int] = {}
-    z_delta: dict[tuple[int, int], int] = {}
-    emptied: dict[_Window, list] = {}  # window -> [uses removed, copy cost]
-    for sl, (j2, t2) in move.relocations:
-        req, o = sl
-        if not o <= t2 <= horizon:
-            return True
-        j, t = placements[sl]
-        r = requests[req]
-        k = r.content
-        pen = plan._pen[req]
-        bound += (pen[t2] - pen[t]) * r.demand[o]
-        sources.add((k, j, t))
-        key = (req, j, t)
-        x_delta[key] = x_delta.get(key, 0) - 1
-        key = (req, j2, t2)
-        x_delta[key] = x_delta.get(key, 0) + 1
-        if servers[j].kind == HIRABLE:
-            key = (j, slot[t])
-            z_delta[key] = z_delta.get(key, 0) - 1
-        if servers[j2].kind == HIRABLE:
-            key = (j2, slot[t2])
-            z_delta[key] = z_delta.get(key, 0) + 1
-        for w in windows[(k, j)]:
-            if w.arrive <= t < w.end:
-                if not w.origin:
-                    entry = emptied.setdefault(w, [0, inst.content_by_id[k].copy_cost])
-                    entry[0] += 1
-                break
-    events = plan.events
-    for key in move.fresh_keys:
-        if key in events and key not in sources:
-            return True
-    x_count = plan.x_count
-    for key, d in x_delta.items():
-        if d:
-            before = x_count.get(key, 0)
-            if before == 0:
-                bound += requests[key[0]].attend_cost
-            elif before + d == 0:
-                bound -= requests[key[0]].attend_cost
-    z_count = plan.z_count
-    for key, d in z_delta.items():
-        if d:
-            before = z_count.get(key, 0)
-            if before == 0:
-                bound += servers[key[0]].cost / plan.m
-            elif before + d == 0:
-                bound -= servers[key[0]].cost / plan.m
-    for w, (removed, copy_cost) in emptied.items():
-        if removed == sum(w.uses.values()):
-            bound -= copy_cost
-    return bound >= 0.0 or _exceeds_bandwidth(plan, move)
 
 
 def _exceeds_bandwidth(plan: OperationalPlan, move: Move) -> bool:
@@ -643,8 +567,9 @@ def apply_move(plan: OperationalPlan, move: Move) -> AppliedMove | None:
     A failed move leaves the plan exactly as it was. The screen sources
     cached for the plan as found are set aside, and the plan goes on with
     an empty cache; a failed move and ``revert_move`` put the old cache
-    back, and a kept move leaves the new one, so the cache never outlives
-    the plan it describes.
+    back, ``keep_move`` carries its untouched sources over, and a move kept
+    without it leaves the new cache, so no source outlives the plan it
+    describes.
     """
     snap = plan.cost_snapshot()
     before = plan.total_cost()
@@ -667,6 +592,31 @@ def apply_move(plan: OperationalPlan, move: Move) -> AppliedMove | None:
 def revert_move(plan: OperationalPlan, applied: AppliedMove) -> None:
     """Roll back a successfully applied move exactly."""
     _restore(plan, applied.snapshot, applied.entries, applied.sources)
+
+
+def keep_move(plan: OperationalPlan, applied: AppliedMove) -> None:
+    """Keep a successfully applied move: the counterpart of ``revert_move``.
+
+    The plan goes on with the sources cached before the move, less those it
+    may have changed. A source's hire refund is read from its (server, slot)
+    hire count and its copy refund from its (content, server) windows; it is
+    dropped when either has an undo entry. That covers its slices and
+    attendance too: every event the move touches has its (content, server)
+    windows among the entries. Sources read while the move was applied are
+    dropped, so every source left describes the plan after the move.
+    """
+    touched = {id(plan.windows): set(), id(plan.z_count): set()}
+    for table, key, _value in applied.entries:
+        keys = touched.get(id(table))
+        if keys is not None:
+            keys.add(key)
+    kj, js = touched.values()
+    slot = plan.slot
+    plan.sources = {
+        key: src
+        for key, src in applied.sources.items()
+        if key[:2] not in kj and (key[1], slot[key[2]]) not in js
+    }
 
 
 def _restore(plan, snap, entries, sources) -> None:
@@ -692,12 +642,13 @@ class _Source:
     ends, and the hire and copy refunds. The terms are read on first use
     (``terms``), so listing candidates for a perturbation draw reads none.
     The plan caches each live event's source with its per-request ``parts``
-    (``OperationalPlan.source``) until a move is kept (``apply_move``).
+    (``OperationalPlan.source``) until a kept move touches its windows or
+    hire count (``keep_move``).
 
-    ``rejects`` adds each target's terms in the order ``cannot_improve``
-    adds them, so it returns True exactly when ``cannot_improve`` would
-    reject the move for its range, fresh key or cost bound, at the cost of a
-    few lookups and without building the move.
+    ``rejects`` adds each target's terms in the reference screen's order, so
+    it returns True exactly when that screen would reject the move for its
+    range, fresh key or cost bound, at the cost of a few lookups and without
+    building the move.
     """
 
     __slots__ = ("key", "slices", "_parts", "reqs", "hire_refund", "copy_refund")
@@ -756,10 +707,11 @@ class _Source:
         never has an ``x_count`` at (request, j2, t): that would mean the
         event (k, j2, t) exists, which the fresh check rejects first. So
         ``rejects`` adds, in this order, each request's ending and starting
-        attendance, minus the hire refund, plus the hire of j2 if it is new,
-        which is >= 0, minus the copy refund. The floor adds the same terms
-        in the same order without the new hire; rounding is monotone, so a
-        floor >= 0.0 means every such target's bound is too.
+        attendance, minus the hire refund, plus the hire of j2 if it is new
+        and the copy to j2 if it holds no window, both >= 0, minus the copy
+        refund. The floor adds the same terms in the same order without the
+        new hire and copy; rounding is monotone, so a floor >= 0.0 means
+        every such target's bound is too.
         """
         bound = 0.0
         for _req, ends, attend in self.terms(plan):
@@ -795,24 +747,27 @@ class _Source:
             srv = plan.inst.server_by_id[j2]
             if srv.kind == HIRABLE and not plan.z_count.get((j2, slot[t2])):
                 bound += srv.cost / plan.m
+        if not plan.windows.get((k, j2)):  # the move must copy k to j2, or fail
+            bound += plan.inst.content_by_id[k].copy_cost
         return bound - self.copy_refund >= 0.0
 
 
 def _swap_rejects(plan: OperationalPlan, pair) -> bool:
-    """True exactly when ``cannot_improve`` would reject the swap of the two
-    events of ``pair`` for its fresh keys or its cost bound; the bandwidth
-    half is ``_exceeds_bandwidth``'s, on the built move.
+    """True exactly when the reference screen would reject the swap of the
+    two events of ``pair`` for its fresh keys or its cost bound; the
+    bandwidth half is ``_exceeds_bandwidth``'s, on the built move.
 
     A swap keeps every slice's period, so its range always holds and each of
     its backlog terms is 0.0. The other terms come from the two events'
-    cached sources, added in ``cannot_improve``'s order: attendance per
-    request of a, then of b, then the hire of each (server, slot) whose
-    count starts or ends, then a's and b's copy refunds. Each request's
-    attendance ends at its source and starts at its fresh target, two
-    adjacent terms that cancel exactly. Where a and b share their content
-    and period, a request in both keeps a count at each server and adds no
-    term to ``cannot_improve``'s sum, but its pair here adds 0.0 to a sum
-    that is 0.0, so the two floats still agree.
+    cached sources, added in the reference's order: attendance per request
+    of a, then of b, then the hire of each (server, slot) whose count starts
+    or ends, then the copy of a's content to b's server and of b's content
+    to a's server where that (content, server) holds no window, then a's and
+    b's copy refunds. Each request's attendance ends at its source and
+    starts at its fresh target, two adjacent terms that cancel exactly.
+    Where a and b share their content and period, a request in both keeps a
+    count at each server and adds no term to the reference's sum, but its
+    pair here adds 0.0 to a sum that is 0.0, so the two floats still agree.
     """
     a, b = plan.source(pair[0]), plan.source(pair[1])
     (ka, ja, ta), (kb, jb, tb) = a.key, b.key
@@ -842,6 +797,10 @@ def _swap_rejects(plan: OperationalPlan, pair) -> bool:
                 bound += servers[key[0]].cost / plan.m
             elif before + d == 0:
                 bound -= servers[key[0]].cost / plan.m
+    contents = plan.inst.content_by_id
+    for k, j in ((ka, jb), (kb, ja)):
+        if not plan.windows.get((k, j)):
+            bound += contents[k].copy_cost
     return bound - a.copy_refund - b.copy_refund >= 0.0
 
 
@@ -916,14 +875,17 @@ def _swap_pairs(keys, rng: random.Random, fraction: float) -> list[tuple]:
     from per-row prefix counts, so the list is never built.
     """
     at: dict[int, list[int]] = {}  # server -> positions of its events in keys
+    rank = []  # rank[i]: events of keys[i]'s server before position i
     for i, key in enumerate(keys):
-        at.setdefault(key[1], []).append(i)
-    # starts[i]: index of the first pair whose a is keys[i].
+        same = at.setdefault(key[1], [])
+        rank.append(len(same))
+        same.append(i)
+    # starts[i]: index of the first pair whose a is keys[i]; of the events
+    # after keys[i], all but the later ones on its server pair with it.
     starts = [0]
     last = len(keys) - 1
     for i, key in enumerate(keys):
-        same = at[key[1]]
-        starts.append(starts[-1] + last - i - (len(same) - bisect_right(same, i)))
+        starts.append(starts[-1] + last - i - (len(at[key[1]]) - rank[i] - 1))
     total = starts[-1]
     if not total:
         return []
@@ -937,7 +899,7 @@ def _swap_pairs(keys, rng: random.Random, fraction: float) -> list[tuple]:
         # server: step over the same-server events up to it.
         same = at[keys[row][1]]
         col = row + 1 + idx - starts[row]
-        s = bisect_right(same, row)
+        s = rank[row] + 1
         while s < len(same) and same[s] <= col:
             col += 1
             s += 1
@@ -1051,7 +1013,8 @@ def rvnd(
     rejects only what ``rejects`` would, so the search is unchanged. Any
     other candidate that its screen rejects (``_Source.rejects`` or
     ``_swap_rejects``, then ``_exceeds_bandwidth`` on the built move) is
-    counted as screened; any other is applied, and kept only if it improves.
+    counted as screened; any other is applied, and kept (``keep_move``, which
+    carries the untouched sources over) only if it improves, else reverted.
     The plan's cached screen sources go when the descent ends: a finished
     plan is only cloned, and a clone starts with an empty cache.
     """
@@ -1093,6 +1056,7 @@ def rvnd(
                 if applied is None:
                     failed += 1
                 elif applied.delta < -EPS:
+                    keep_move(plan, applied)
                     accepted += 1
                     improved = True
                     break

@@ -336,6 +336,7 @@ class ReplanRecord:
     moves_tried: int = 0
     moves_screened: int = 0
     moves_accepted: int = 0
+    moves_failed: int = 0  # applied, then rolled back because place failed
     hires: int = 0  # instances the plan spawned
     reused: bool = False  # an earlier replan of this run had the same inputs
 
@@ -709,6 +710,7 @@ def _solve_window(
     record.moves_tried = stats["moves_tried"]
     record.moves_screened = stats["moves_screened"]
     record.moves_accepted = stats["moves_accepted"]
+    record.moves_failed = stats["moves_failed"]
     used_plan_sids = {tup.server for tup in solution.tuples if tup.served}
     apply = dict.fromkeys(
         (k, j) for (k, j, _p) in sorted(solution.replicas) if j >= n_owned and j in used_plan_sids

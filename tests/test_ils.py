@@ -13,8 +13,8 @@ from flashcrowd.ils import (
     SearchStats,
     apply_move,
     candidates,
-    cannot_improve,
     constructive_phase,
+    keep_move,
     perturb,
     revert_move,
     rvnd,
@@ -32,6 +32,7 @@ from flashcrowd.model import (
 )
 
 from util_instances import random_midsize_instance, tiny_instance_o1
+from util_screen import cannot_improve
 
 
 def every_move(plan, kind, d=1, rng=None):
@@ -393,6 +394,36 @@ class TestScreen:
                 assert [(src.key, src.slices, (j2, t2)) for src, j2, t2 in flat] == expected[name]
         assert floored >= 500 and passed >= 50
 
+    def test_copy_term_screens_a_shift_to_a_server_without_replica(self):
+        # Event (0, 1, 2) is alone in its hire slot on hired server 1, and
+        # its window there also serves period 3, so moving it refunds the
+        # hire and no copy. Owned server 2 holds no replica of content 0, so
+        # a shift there must pay a new copy. The floor, which is the shift's
+        # bound without the target's new hire (none: server 2 is owned) and
+        # new copy, passes it; only the copy term screens it.
+        servers = [
+            Server(0, OWNED, storage=10, bandwidth=10, cost=0.0),
+            Server(1, HIRABLE, storage=10, bandwidth=10, cost=4.0),
+            Server(2, OWNED, storage=10, bandwidth=10, cost=0.0),
+        ]
+        contents = [Content(0, size=1, start=1, origin=0, copy_cost=2.0)]
+        requests = [Request(0, 0, 1.0, {2: 1.0}, 1.0), Request(1, 0, 1.0, {3: 1.0}, 1.0)]
+        inst = PlanningInstance(servers, contents, requests, horizon=4, client_bandwidth=10)
+        plan = OperationalPlan(inst)
+        plan.place(0, 2, 1, 2)
+        plan.place(1, 3, 1, 3)
+        src = plan.source((0, 1, 2))
+        assert not plan.windows.get((0, 2))
+        assert src.terms(plan) and src.hire_refund == 4.0 / plan.m > 0 and src.copy_refund == 0
+        assert not src.floor_rejects(plan)
+        assert src.rejects(plan, 2, 2, True)
+        move = ils._move(plan, "shift", (src, 2, 2))
+        assert move in every_move(plan, "shift")
+        assert cannot_improve(plan, move)
+        applied = apply_move(plan, move)
+        assert applied is not None and applied.delta >= -EPS
+        assert applied.delta == pytest.approx(2.0 - 4.0 / plan.m)
+
     def test_rvnd_counts_every_outcome(self):
         inst = random_midsize_instance(random.Random(3))
         stats = SearchStats()
@@ -475,6 +506,66 @@ class TestSourceCache:
                 steps[step] += 1
                 assert_sources_fresh(plan)
         assert min(steps.values()) >= 10, steps
+
+
+def read_every_term(plan):
+    """Cache every live event's source with its parts, and read their terms."""
+    for key in plan.events:
+        src = plan.source(key)
+        for part in [src] + src.parts():
+            part.terms(plan)
+
+
+def carried_keys(plan, cached, move):
+    """The keys of ``cached`` whose event, (content, server) windows and
+    (server, slot) hire count no end of the move's relocations shares."""
+    ends = set()
+    for sl, target in move.relocations:
+        k = plan.inst.request_by_id[sl[0]].content
+        for j, t in (plan.placements[sl], target):
+            ends.add((k, j, t))
+    slot = plan.slot
+    return {
+        key
+        for key in cached
+        if not any(
+            key == end or key[:2] == end[:2] or (key[1], slot[key[2]]) == (end[1], slot[end[2]])
+            for end in ends
+        )
+    }
+
+
+class TestKeepMove:
+    def test_kept_move_carries_untouched_sources(self):
+        # keep_move keeps the sources cached before the move that no end of
+        # the move shares an event, windows or hire count with, as the very
+        # objects cached, and drops the rest. What it keeps must equal
+        # sources built afresh, terms and all, on the plan after the move.
+        rng = random.Random(43)
+        kept = carried = dropped = 0
+        for _ in range(6):
+            inst = random_midsize_instance(rng)
+            plan = constructive_phase(inst, random.Random(rng.randrange(10**6)))
+            for _step in range(25):
+                read_every_term(plan)
+                moves = sum(pools(plan, rng), [])
+                rng.shuffle(moves)
+                cached = dict(plan.sources)
+                for move in moves:
+                    expected = carried_keys(plan, cached, move)
+                    applied = apply_move(plan, move)
+                    if applied is not None:
+                        break
+                else:
+                    break
+                keep_move(plan, applied)
+                assert all(plan.sources[key] is cached[key] for key in plan.sources)
+                assert_sources_fresh(plan)
+                assert set(plan.sources) == expected
+                kept += 1
+                carried += len(plan.sources)
+                dropped += len(cached) - len(plan.sources)
+        assert kept >= 120 and carried >= 3000 and dropped >= 800, (kept, carried, dropped)
 
 
 class TestSwapSample:

@@ -86,7 +86,7 @@ def test_search_matches_golden(index):
 
 
 # sha256 of the 98 searches of ``digest_searches``; see its docstring.
-DIGEST = "ecd944ec63c85591c18664cc87ba1c2f2b1711bf0fdf879cbdfb9fce08ec7712"
+DIGEST = "024da9c38e202e2d3b834316b2dcb3b9700b83503a8dbe4b3ddd57c62736638d"
 
 
 def digest_searches():
