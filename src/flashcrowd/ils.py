@@ -671,21 +671,23 @@ class _Source:
                 self._parts = [_Source(self.key, sls) for sls in by_req.values()]
         return self._parts
 
-    def terms(self, plan: OperationalPlan) -> list[tuple[int, bool, float]]:
-        """Per request, (request, whether its attendance at the event ends,
-        attendance cost); the first call also reads ``hire_refund`` and
-        ``copy_refund``."""
+    def terms(self, plan: OperationalPlan) -> list[tuple[int, float]]:
+        """Per request, (request, attendance cost), in request order; the
+        first call also reads ``hire_refund`` and ``copy_refund``.
+
+        Each request's attendance at the event ends with the move: an
+        event holds every slice that its content's requests place on its
+        (server, period), and the source moves all of a request's slices.
+        """
         if self.reqs is not None:
             return self.reqs
         inst = plan.inst
         k, j, t = self.key
         n = len(self.slices)
-        per_req: dict[int, int] = {}
-        for req, _o in self.slices:
-            per_req[req] = per_req.get(req, 0) + 1
+        requests = inst.request_by_id
         self.reqs = [
-            (req, plan.x_count[(req, j, t)] == count, inst.request_by_id[req].attend_cost)
-            for req, count in per_req.items()
+            (req, requests[req].attend_cost)
+            for req in dict.fromkeys(req for req, _o in self.slices)
         ]
         srv = inst.server_by_id[j]
         self.hire_refund = 0.0
@@ -706,19 +708,14 @@ class _Source:
         For such a target ``rejects`` skips the backlog, and a fresh one
         never has an ``x_count`` at (request, j2, t): that would mean the
         event (k, j2, t) exists, which the fresh check rejects first. So
-        ``rejects`` adds, in this order, each request's ending and starting
-        attendance, minus the hire refund, plus the hire of j2 if it is new
-        and the copy to j2 if it holds no window, both >= 0, minus the copy
-        refund. The floor adds the same terms in the same order without the
-        new hire and copy; rounding is monotone, so a floor >= 0.0 means
-        every such target's bound is too.
+        ``rejects`` adds to 0.0 each request's ending and starting
+        attendance, which cancel exactly, then subtracts the hire refund,
+        adds the hire of j2 if it is new and the copy to j2 if it holds no
+        window, both >= 0, and subtracts the copy refund. With neither
+        refund, that bound is >= 0.0.
         """
-        bound = 0.0
-        for _req, ends, attend in self.terms(plan):
-            if ends:
-                bound -= attend
-            bound += attend
-        return bound - self.hire_refund - self.copy_refund >= 0.0
+        self.terms(plan)
+        return not self.hire_refund and not self.copy_refund
 
     def rejects(self, plan: OperationalPlan, j2: int, t2: int, fresh: bool) -> bool:
         k, j, t = self.key
@@ -736,9 +733,8 @@ class _Source:
                 pen = plan._pen[req]
                 bound += (pen[t2] - pen[t]) * requests[req].demand[o]
         x_count = plan.x_count
-        for req, ends, attend in reqs:
-            if ends:
-                bound -= attend
+        for req, attend in reqs:
+            bound -= attend
             if not x_count.get((req, j2, t2)):
                 bound += attend
         slot = plan.slot
@@ -759,15 +755,16 @@ def _swap_rejects(plan: OperationalPlan, pair) -> bool:
 
     A swap keeps every slice's period, so its range always holds and each of
     its backlog terms is 0.0. The other terms come from the two events'
-    cached sources, added in the reference's order: attendance per request
-    of a, then of b, then the hire of each (server, slot) whose count starts
-    or ends, then the copy of a's content to b's server and of b's content
-    to a's server where that (content, server) holds no window, then a's and
-    b's copy refunds. Each request's attendance ends at its source and
-    starts at its fresh target, two adjacent terms that cancel exactly.
-    Where a and b share their content and period, a request in both keeps a
-    count at each server and adds no term to the reference's sum, but its
-    pair here adds 0.0 to a sum that is 0.0, so the two floats still agree.
+    cached sources, added in the reference's order: the hire of each
+    (server, slot) whose count starts or ends, then the copy of a's content
+    to b's server and of b's content to a's server where that (content,
+    server) holds no window, then a's and b's copy refunds. The reference
+    adds attendance first, and its attendance terms sum to exactly 0.0, so
+    they are left out here: each request's attendance ends at its source
+    (``_Source.terms``) and starts at its fresh target, two adjacent terms
+    that cancel exactly from 0.0. Where a and b share their content and
+    period, a request in both keeps a count at each server and adds no
+    attendance term at all.
     """
     a, b = plan.source(pair[0]), plan.source(pair[1])
     (ka, ja, ta), (kb, jb, tb) = a.key, b.key
@@ -775,12 +772,9 @@ def _swap_rejects(plan: OperationalPlan, pair) -> bool:
     fresh_a, fresh_b = (ka, jb, ta), (kb, ja, tb)
     if (fresh_a in events and fresh_a != b.key) or (fresh_b in events and fresh_b != a.key):
         return True
+    a.terms(plan)
+    b.terms(plan)
     bound = 0.0
-    for src in (a, b):
-        for _req, ends, attend in src.terms(plan):
-            if ends:
-                bound -= attend
-            bound += attend
     servers = plan.inst.server_by_id
     slot = plan.slot
     na, nb = len(a.slices), len(b.slices)
