@@ -517,8 +517,9 @@ def read_every_term(plan):
 
 
 def carried_keys(plan, cached, move):
-    """The keys of ``cached`` whose event, (content, server) windows and
-    (server, slot) hire count no end of the move's relocations shares."""
+    """The keys of ``cached`` whose (content, server) windows and (server,
+    slot) hire count no end of the move's relocations shares; an event that
+    an end shares has its windows shared too."""
     ends = set()
     for sl, target in move.relocations:
         k = plan.inst.request_by_id[sl[0]].content
@@ -529,7 +530,7 @@ def carried_keys(plan, cached, move):
         key
         for key in cached
         if not any(
-            key == end or key[:2] == end[:2] or (key[1], slot[key[2]]) == (end[1], slot[end[2]])
+            key[:2] == end[:2] or (key[1], slot[key[2]]) == (end[1], slot[end[2]])
             for end in ends
         )
     }
@@ -538,8 +539,8 @@ def carried_keys(plan, cached, move):
 class TestKeepMove:
     def test_kept_move_carries_untouched_sources(self):
         # keep_move keeps the sources cached before the move that no end of
-        # the move shares an event, windows or hire count with, as the very
-        # objects cached, and drops the rest. What it keeps must equal
+        # the move shares windows or a hire count with, as the very objects
+        # cached, and drops the rest. What it keeps must equal
         # sources built afresh, terms and all, on the plan after the move.
         rng = random.Random(43)
         kept = carried = dropped = 0
