@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -23,6 +24,7 @@ from flashcrowd.ils import (
 from flashcrowd.model import (
     Content,
     HIRABLE,
+    Infeasible,
     OWNED,
     PlanningInstance,
     Request,
@@ -31,8 +33,8 @@ from flashcrowd.model import (
     evaluate,
 )
 
-from util_instances import random_midsize_instance, tiny_instance_o1
-from util_screen import cannot_improve
+from util_instances import random_midsize_instance, random_tiny_instance, tiny_instance_o1
+from util_screen import cannot_improve, construct_every_cell
 
 
 def every_move(plan, kind, d=1, rng=None):
@@ -195,8 +197,53 @@ def plan_state(plan):
         dict(plan.z_count),
         windows,
         {j: list(col) for j, col in plan.occ.items()},
-        plan.cost_snapshot(),
+        (plan.attend_cost, plan.backlog_cost, plan.repl_cost, plan.fin_cost),
     )
+
+
+def construction_outcome(build, inst, seed):
+    """The plan state ``build(inst, Random(seed))`` leaves, or the message of
+    the Infeasible it raises. An empty windows list holds no replica, so it
+    is left out: a ``place`` that fails before it looks for a window may
+    leave one, and a skipped cell does not."""
+    try:
+        plan = build(inst, random.Random(seed))
+    except Infeasible as exc:
+        return str(exc)
+    state = plan_state(plan)
+    return state[:6] + ({key: wins for key, wins in state[6].items() if wins},) + state[7:]
+
+
+class TestConstructionScreens:
+    """``constructive_phase`` skips the cells where ``place`` must fail, and
+    leaves the plan that trying every cell leaves (``construct_every_cell``)."""
+
+    def instances(self):
+        tiny = [random_tiny_instance(random.Random(s)) for s in range(15)]
+        midsize = [random_midsize_instance(random.Random(s)) for s in range(14)]
+        delayed = [dataclasses.replace(inst, replication_delay=2) for inst in midsize]
+        return tiny + midsize + delayed
+
+    def test_same_plan_as_trying_every_cell(self):
+        for inst in self.instances():
+            for seed in range(4):
+                expected = construction_outcome(construct_every_cell, inst, seed)
+                assert construction_outcome(constructive_phase, inst, seed) == expected
+
+    def test_arrival_screen_decides_placements(self):
+        """With a replication delay of 2, some slices go to their content's
+        origin before any copy can arrive, and some to another server in
+        the first period a copy can arrive: the screen and its origin
+        exception are both on the path."""
+        on_origin = at_arrival = 0
+        for inst in self.instances()[-14:]:
+            plan = constructive_phase(inst, random.Random(0))
+            for (req, _o), (j, t) in plan.placements.items():
+                content = inst.content_by_id[inst.request_by_id[req].content]
+                earliest = plan._earliest_arrival(content)
+                on_origin += j == content.origin and t < earliest
+                at_arrival += j != content.origin and t == earliest
+        assert on_origin and at_arrival
 
 
 class TestMoves:

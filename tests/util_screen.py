@@ -16,10 +16,58 @@ can only be served from a new one, which costs one copy (``_ensure_window``
 has nothing to cover, extend or retime); any other target window can only
 add copy cost; so the bound never exceeds the true delta. The screens add
 their terms in this order, so each rejects exactly what this rejects.
+
+``construct_every_cell`` is the reference for construction's screens: the
+greedy construction that calls ``place`` on every (period, server) cell in
+turn and catches each failure. ``ils.constructive_phase`` skips the cells
+where ``place`` must fail before it touches the plan, and the tests hold it
+to leaving the same plan as this.
 """
 
-from flashcrowd.ils import Move, OperationalPlan, _exceeds_bandwidth
-from flashcrowd.model import HIRABLE
+import random
+
+from flashcrowd.ils import Move, OperationalPlan, _exceeds_bandwidth, _MoveFailed
+from flashcrowd.model import HIRABLE, OWNED, Infeasible, PlanningInstance
+
+
+def construct_every_cell(
+    inst: PlanningInstance, rng: random.Random
+) -> OperationalPlan:
+    """Greedy randomized construction.
+
+    Requests are handled in random order; each demand slice goes to the
+    first feasible (period, server) scanning periods from its arrival and
+    servers cheapest-first with owned servers before hirable ones. A full
+    storage conflict triggers LRU eviction; a slice no server can take in
+    any period makes the instance infeasible (full service is required).
+    """
+    plan = OperationalPlan(inst)
+    order = [r.id for r in inst.requests]
+    rng.shuffle(order)
+    servers = sorted(
+        inst.servers, key=lambda s: (s.kind != OWNED, s.cost, s.id)
+    )
+    for rid in order:
+        r = inst.request_by_id[rid]
+        for o in sorted(r.demand):
+            if r.demand[o] <= 0:
+                continue
+            placed = False
+            for t in range(o, inst.horizon + 1):
+                for srv in servers:
+                    try:
+                        plan.place(rid, o, srv.id, t, allow_evict=True)
+                        placed = True
+                        break
+                    except _MoveFailed:
+                        continue
+                if placed:
+                    break
+            if not placed:
+                raise Infeasible(
+                    f"request {rid} slice at {o} fits no server in any period"
+                )
+    return plan
 
 
 def cannot_improve(plan: OperationalPlan, move: Move) -> bool:
