@@ -57,7 +57,7 @@ import logging
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .model import (
     AttendanceTuple,
@@ -400,12 +400,6 @@ class OperationalPlan:
         new.sources = {}
         return new
 
-    def cost_snapshot(self) -> tuple[float, float, float, float]:
-        return (self.attend_cost, self.backlog_cost, self.repl_cost, self.fin_cost)
-
-    def restore_costs(self, snap: tuple[float, float, float, float]) -> None:
-        self.attend_cost, self.backlog_cost, self.repl_cost, self.fin_cost = snap
-
     def to_solution(self) -> Solution:
         inst = self.inst
         tf = inst.horizon
@@ -491,11 +485,12 @@ def _undo_entries(plan: OperationalPlan, move: Move) -> list[tuple[dict, object,
     """Pre-move values of every plan entry that applying ``move`` can touch.
 
     Moves never evict, so a relocation from (j, t) to (j2, t2) touches only
-    its slice's placement and, at both ends, the event, bandwidth, client,
-    attendance and hire entries, the content's windows and the server's
-    storage column. The screen sources are not entries: ``apply_move`` keeps
-    the whole cache aside instead, and ``keep_move`` reads these keys to
-    tell which sources the move left as they were.
+    its slice's placement and, at both ends, the event, bandwidth, client
+    and attendance entries, the hire entry of a hirable server, the
+    content's windows and the server's storage column. The screen sources
+    are not entries: ``apply_move`` keeps the whole cache aside instead, and
+    ``keep_move`` reads these keys to tell which sources the move left as
+    they were.
     """
     inst = plan.inst
     slot = plan.slot
@@ -509,7 +504,9 @@ def _undo_entries(plan: OperationalPlan, move: Move) -> list[tuple[dict, object,
             bw.add((j, t))
             client.add((req, t))
             xs.add((req, j, t))
-            if 0 <= t < len(slot):  # place rejects other periods untouched
+            # place and unplace count hires of hirable servers only, and place
+            # rejects other periods untouched
+            if 0 <= t < len(slot) and inst.server_by_id[j].kind == HIRABLE:
                 zs.add((j, slot[t]))
             windows.add((k, j))
             servers.add(j)
@@ -571,7 +568,7 @@ def apply_move(plan: OperationalPlan, move: Move) -> AppliedMove | None:
     without it leaves the new cache, so no source outlives the plan it
     describes.
     """
-    snap = plan.cost_snapshot()
+    snap = (plan.attend_cost, plan.backlog_cost, plan.repl_cost, plan.fin_cost)
     before = plan.total_cost()
     entries = _undo_entries(plan, move)
     sources, plan.sources = plan.sources, {}
@@ -625,7 +622,7 @@ def _restore(plan, snap, entries, sources) -> None:
             table.pop(key, None)
         else:
             table[key] = value
-    plan.restore_costs(snap)
+    plan.attend_cost, plan.backlog_cost, plan.repl_cost, plan.fin_cost = snap
     plan.sources = sources
 
 
@@ -936,9 +933,7 @@ def _move(plan: OperationalPlan, name: str, candidate) -> Move:
 # ---------------------------------------------------------------------------
 
 
-def constructive_phase(
-    inst: PlanningInstance, rng: random.Random
-) -> OperationalPlan:
+def constructive_phase(inst: PlanningInstance, rng: random.Random) -> OperationalPlan:
     """Greedy randomized construction.
 
     Requests are handled in random order; each demand slice goes to the
@@ -946,33 +941,41 @@ def constructive_phase(
     servers cheapest-first with owned servers before hirable ones. A full
     storage conflict triggers LRU eviction; a slice no server can take in
     any period makes the instance infeasible (full service is required).
+    Three screens skip the cells where ``place`` must raise before it
+    changes the plan, so the plan is the one that trying every cell leaves:
+    a period whose client bandwidth, and a server whose bandwidth, the slice
+    would exceed (``place``'s own checks, in its order); and a server other
+    than the content's origin before a copy can arrive, where no window
+    covers or ends yet, so ``_ensure_window`` raises before it can evict.
     """
     plan = OperationalPlan(inst)
     order = [r.id for r in inst.requests]
     rng.shuffle(order)
-    servers = sorted(
-        inst.servers, key=lambda s: (s.kind != OWNED, s.cost, s.id)
-    )
+    servers = sorted(inst.servers, key=lambda s: (s.kind != OWNED, s.cost, s.id))
     for rid in order:
         r = inst.request_by_id[rid]
+        content = inst.content_by_id[r.content]
+        arrival = plan._earliest_arrival(content)
         for o in sorted(r.demand):
-            if r.demand[o] <= 0:
+            amount = r.demand[o]
+            if amount <= 0:
                 continue
-            placed = False
-            for t in range(o, inst.horizon + 1):
-                for srv in servers:
-                    try:
-                        plan.place(rid, o, srv.id, t, allow_evict=True)
-                        placed = True
-                        break
-                    except _MoveFailed:
-                        continue
-                if placed:
+            cells = (
+                (srv.id, t)
+                for t in range(o, inst.horizon + 1)
+                if plan.client_used.get((rid, t), 0.0) + amount <= inst.client_bandwidth + 1e-9
+                for srv in servers
+                if plan.bw_used.get((srv.id, t), 0.0) + amount <= srv.bandwidth + 1e-9
+                and (t >= arrival or srv.id == content.origin)
+            )
+            for j, t in cells:
+                try:
+                    plan.place(rid, o, j, t, allow_evict=True)
                     break
-            if not placed:
-                raise Infeasible(
-                    f"request {rid} slice at {o} fits no server in any period"
-                )
+                except _MoveFailed:
+                    continue
+            else:
+                raise Infeasible(f"request {rid} slice at {o} fits no server in any period")
     return plan
 
 
@@ -987,9 +990,6 @@ class SearchStats:
     perturbations: int = 0
     restarts: int = 0
     wall_time: float = 0.0
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def rvnd(
@@ -1129,4 +1129,4 @@ def solve(
     stats.wall_time = time.perf_counter() - started
     logger.debug("ils.solve: cost %.9g, %s", best_cost, stats)
     solution = best_plan.to_solution()
-    return solution, evaluate(inst, solution), stats.as_dict()
+    return solution, evaluate(inst, solution), asdict(stats)

@@ -566,18 +566,24 @@ def read_every_term(plan):
 def carried_keys(plan, cached, move):
     """The keys of ``cached`` whose (content, server) windows and (server,
     slot) hire count no end of the move's relocations shares; an event that
-    an end shares has its windows shared too."""
+    an end shares has its windows shared too. Only a hirable server has a
+    hire count: an owned end shares none."""
     ends = set()
     for sl, target in move.relocations:
         k = plan.inst.request_by_id[sl[0]].content
         for j, t in (plan.placements[sl], target):
             ends.add((k, j, t))
     slot = plan.slot
+    servers = plan.inst.server_by_id
     return {
         key
         for key in cached
         if not any(
-            key[:2] == end[:2] or (key[1], slot[key[2]]) == (end[1], slot[end[2]])
+            key[:2] == end[:2]
+            or (
+                servers[end[1]].kind == HIRABLE
+                and (key[1], slot[key[2]]) == (end[1], slot[end[2]])
+            )
             for end in ends
         )
     }
@@ -591,7 +597,7 @@ class TestKeepMove:
         # sources built afresh, terms and all, on the plan after the move.
         rng = random.Random(43)
         kept = carried = dropped = 0
-        for _ in range(6):
+        for _ in range(8):
             inst = random_midsize_instance(rng)
             plan = constructive_phase(inst, random.Random(rng.randrange(10**6)))
             for _step in range(25):
@@ -606,6 +612,9 @@ class TestKeepMove:
                         break
                 else:
                     break
+                servers = inst.server_by_id
+                zs = [key for table, key, _v in applied.entries if table is plan.z_count]
+                assert all(servers[j].kind == HIRABLE for j, _slot in zs)
                 keep_move(plan, applied)
                 assert all(plan.sources[key] is cached[key] for key in plan.sources)
                 assert_sources_fresh(plan)
