@@ -91,12 +91,18 @@ def _marginal(counts: np.ndarray) -> np.ndarray:
     return counts / total
 
 
-def _pair_from_bins(prev: dict[int, int], now: dict[int, int]) -> DistributionPair:
+def _support(prev: dict[int, int], now: dict[int, int]) -> list[int]:
     support = sorted(
         {c for c, n in prev.items() if n > 0} | {c for c, n in now.items() if n > 0}
     )
     if not support:
         raise EmptyBin("no accesses in either bin")
+    return support
+
+
+def _pair_from_bins(
+    prev: dict[int, int], now: dict[int, int], support: list[int]
+) -> DistributionPair:
     c_prev = np.array([prev.get(c, 0) for c in support], dtype=np.float64)
     c_now = np.array([now.get(c, 0) for c in support], dtype=np.float64)
     return DistributionPair(
@@ -113,7 +119,13 @@ def build_distributions(trace: BinnedTrace, t: int, w: int) -> DistributionPair:
         raise ValueError("window w must be positive")
     if t < w or t >= trace.horizon:
         raise ValueError(f"need w <= t < horizon, got t={t}")
-    return _pair_from_bins(trace.bins[t - w], trace.bins[t])
+    prev, now = trace.bins[t - w], trace.bins[t]
+    return _pair_from_bins(prev, now, _support(prev, now))
+
+
+# The mix of every one-content pair: both marginals are [1.0], and the
+# Pearson coefficient of two one-entry count vectors is 0.
+_ONE_CONTENT_MIX = kernels.frechet_mix(np.ones(1), np.ones(1), 0.0)
 
 
 def _mix(pair: DistributionPair, rho: float) -> kernels.Mix:
@@ -210,17 +222,25 @@ class Detector:
         """Consume the next bin; returns its point once t >= w.
 
         An empty comparison pair is skipped: no point is recorded and the
-        flagging streaks are left untouched.
+        flagging streaks are left untouched. A pair whose support is one
+        content has both marginals [1.0] and a Pearson coefficient of 0, so
+        its point is the same for every such pair: it takes the mix the
+        kernels give once at import (C = 0, status OK) and calls none.
         """
         self._t += 1
         self._history.append(counts)
         if self._t < self.w:
             return None
+        prev, now = self._history[0], self._history[-1]
         try:
-            pair = _pair_from_bins(self._history[0], self._history[-1])
+            support = _support(prev, now)
         except EmptyBin:
             return None
-        mix = _mix(pair, kernels.pearson_counts(pair.c_prev, pair.c_now))
+        if len(support) == 1:
+            mix = _ONE_CONTENT_MIX
+        else:
+            pair = _pair_from_bins(prev, now, support)
+            mix = _mix(pair, kernels.pearson_counts(pair.c_prev, pair.c_now))
         # Point-mass marginals collapse the bound correlation to 0 on sparse
         # bins; that is routine in long replays, so count instead of warn.
         if mix.status == kernels.MIX_DEGENERATE:
@@ -231,7 +251,7 @@ class Detector:
             h_y=mix.h_y,
             h_xy=mix.h_xy,
             c_xy=mix.h_x + mix.h_y - mix.h_xy,
-            n=len(pair.support),
+            n=len(support),
         )
         self.points.append(point)
         self._flagger.observe(point.t, point.c_xy)

@@ -6,6 +6,7 @@ import pytest
 
 from flashcrowd import kernels
 from flashcrowd.detector import (
+    DetectionPoint,
     Detector,
     EmptyBin,
     FlagConfig,
@@ -325,6 +326,56 @@ class TestDetect:
         online = det.series()
         batch = detect(trace, w=1, flag_cfg=FlagConfig(warmup=80))
         assert online.points == batch.points and online.events == batch.events
+
+
+def kernel_point(prev, now, t=1):
+    """The point of the pair (prev, now) by the kernel path: marginals,
+    Pearson coefficient and Frechet mix; with the mix's status."""
+    pair = build_distributions(trace_of(prev, now), 1, 1)
+    mix = kernels.frechet_mix(pair.f, pair.g, kernels.pearson_counts(pair.c_prev, pair.c_now))
+    c_xy = mix.h_x + mix.h_y - mix.h_xy
+    return DetectionPoint(t, mix.h_x, mix.h_y, mix.h_xy, c_xy, len(pair.support)), mix.status
+
+
+class TestOneContentPoint:
+    """A pair whose support is one content gives the kernel path's point,
+    zero signs included, without calling a kernel."""
+
+    PAIRS = [
+        ({4: 3}, {}),  # in the previous bin only
+        ({}, {4: 3}),  # in the current bin only
+        ({4: 3}, {4: 5}),  # in both
+        ({4: 3, 1: 0}, {2: 0}),  # zero-count entries for other contents
+        ({0: 0, 9: 0}, {4: 2}),
+        ({4: 1, 7: 0}, {7: 0, 4: 6, 2: 0}),
+    ]
+
+    @staticmethod
+    def signed(point):
+        return [(f, math.copysign(1.0, getattr(point, f))) for f in ("h_x", "h_y", "h_xy", "c_xy")]
+
+    @pytest.mark.parametrize("prev, now", PAIRS)
+    def test_matches_kernel_path(self, prev, now, monkeypatch):
+        expected, status = kernel_point(prev, now)
+        assert status == kernels.MIX_OK and expected.n == 1
+
+        def no_kernel(*_args):
+            raise AssertionError("a one-content point calls no kernel")
+
+        monkeypatch.setattr(kernels, "frechet_mix", no_kernel)
+        monkeypatch.setattr(kernels, "pearson_counts", no_kernel)
+        det = Detector(w=1)
+        assert det.update(prev) is None
+        point = det.update(now)
+        assert repr(point) == repr(expected)
+        assert self.signed(point) == self.signed(expected)
+        assert det.points == [point] and det.degenerate_points == 0
+
+    def test_all_zero_pair_gives_no_point(self):
+        det = Detector(w=1)
+        assert det.update({3: 0}) is None
+        assert det.update({3: 0, 5: 0}) is None
+        assert det.points == [] and det.degenerate_points == 0
 
 
 class TestExactOracle:
