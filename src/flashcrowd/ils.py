@@ -57,7 +57,7 @@ import logging
 import math
 import random
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .model import (
     AttendanceTuple,
@@ -941,12 +941,12 @@ def constructive_phase(inst: PlanningInstance, rng: random.Random) -> Operationa
     servers cheapest-first with owned servers before hirable ones. A full
     storage conflict triggers LRU eviction; a slice no server can take in
     any period makes the instance infeasible (full service is required).
-    Three screens skip the cells where ``place`` must raise before it
-    changes the plan, so the plan is the one that trying every cell leaves:
-    a period whose client bandwidth, and a server whose bandwidth, the slice
-    would exceed (``place``'s own checks, in its order); and a server other
-    than the content's origin before a copy can arrive, where no window
-    covers or ends yet, so ``_ensure_window`` raises before it can evict.
+    Three screens skip the cells where ``place`` must raise, so the plan is
+    the one that trying every cell leaves: a period whose client bandwidth,
+    and a server whose bandwidth, the slice would exceed (``place``'s first
+    two checks, in its order); and a server other than the content's origin
+    before a copy can arrive: no window there covers or ends that early, so
+    ``_ensure_window`` raises before it evicts and leaves only an empty list.
     """
     plan = OperationalPlan(inst)
     order = [r.id for r in inst.requests]
@@ -1129,4 +1129,4 @@ def solve(
     stats.wall_time = time.perf_counter() - started
     logger.debug("ils.solve: cost %.9g, %s", best_cost, stats)
     solution = best_plan.to_solution()
-    return solution, evaluate(inst, solution), asdict(stats)
+    return solution, evaluate(inst, solution), dict(vars(stats))
