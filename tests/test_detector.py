@@ -328,13 +328,13 @@ class TestDetect:
         assert online.points == batch.points and online.events == batch.events
 
 
-def kernel_point(prev, now, t=1):
-    """The point of the pair (prev, now) by the kernel path: marginals,
-    Pearson coefficient and Frechet mix; with the mix's status."""
+def kernel_point(prev, now):
+    """The point at t = 1 of the pair (prev, now) by the kernel path:
+    marginals, Pearson coefficient and Frechet mix; with the mix's status."""
     pair = build_distributions(trace_of(prev, now), 1, 1)
     mix = kernels.frechet_mix(pair.f, pair.g, kernels.pearson_counts(pair.c_prev, pair.c_now))
     c_xy = mix.h_x + mix.h_y - mix.h_xy
-    return DetectionPoint(t, mix.h_x, mix.h_y, mix.h_xy, c_xy, len(pair.support)), mix.status
+    return DetectionPoint(1, mix.h_x, mix.h_y, mix.h_xy, c_xy, len(pair.support)), mix.status
 
 
 class TestOneContentPoint:

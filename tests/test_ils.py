@@ -612,9 +612,8 @@ class TestKeepMove:
                         break
                 else:
                     break
-                servers = inst.server_by_id
                 zs = [key for table, key, _v in applied.entries if table is plan.z_count]
-                assert all(servers[j].kind == HIRABLE for j, _slot in zs)
+                assert all(inst.server_by_id[j].kind == HIRABLE for j, _slot in zs)
                 keep_move(plan, applied)
                 assert all(plan.sources[key] is cached[key] for key in plan.sources)
                 assert_sources_fresh(plan)
