@@ -304,6 +304,14 @@ class TestDetect:
         assert [p.c_xy for p in series.points[:6]] == [0.0] * 6
         assert series.events == [(7, 9)]
 
+    def test_event_open_at_the_last_point_ends_there(self):
+        # The same onset, but the hot bins run to the end of the trace: the
+        # event never closes, so it ends at the last point's t.
+        quiet, hot = {0: 1, 1: 1, 2: 1}, {0: 1, 1: 2, 2: 3}
+        bins = [quiet] * 6 + [hot, {0: 2, 1: 3, 2: 5}] * 4
+        series = detect(BinnedTrace(1.0, bins, set()), w=1, flag_cfg=FlagConfig(m=2, warmup=5))
+        assert series.events == [(7, 13)]
+
     def test_degenerate_pair_counted_not_warned(self):
         # f is a point mass and the sample rho is -1: no extreme correlates,
         # so the detector counts the point and warns nothing.

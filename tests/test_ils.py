@@ -709,6 +709,14 @@ class TestSolve:
         assert cost.total == 1.0
         assert sol.tuples[0].served == {0: 5.0}
 
+    def test_origin_that_cannot_store_its_own_contents_is_infeasible(self):
+        servers = [Server(0, OWNED, storage=10, bandwidth=5, cost=0.0)]
+        contents = [Content(0, size=20, start=1, origin=0, copy_cost=1.0)]
+        requests = [Request(0, 0, 1.0, {1: 20.0}, 1.0)]
+        inst = PlanningInstance(servers, contents, requests, horizon=1, client_bandwidth=5)
+        with pytest.raises(Infeasible, match="^origin server 0 cannot store its own contents$"):
+            solve(inst, IlsParams(seed=0))
+
     def test_deterministic_given_seed(self):
         inst = random_midsize_instance(random.Random(40))
         a = solve(inst, IlsParams(seed=11))

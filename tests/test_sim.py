@@ -216,6 +216,17 @@ def test_failed_replan_is_not_solved_again(monkeypatch, scenarios):
     assert dataclasses.replace(again, t=10, solve_ms=first.solve_ms, reused=False) == first
 
 
+def test_first_fit_takes_only_a_server_that_holds_the_content():
+    # The owned server is full; the hired one has room but no replica yet.
+    unit = sim.ServerType("unit", storage=10.0, bandwidth=5.0, cost=1.0)
+    owned = sim._Server(unit, 1.0, 0, frozenset({0}))
+    hired = sim._Server(unit, 1.0, 1)
+    hired.left = unit.bandwidth
+    assert sim._first_fit([owned, hired], 0, 3.0) is None
+    hired.contents.add(0)
+    assert sim._first_fit([owned, hired], 0, 3.0) is hired
+
+
 def edited_scenario1(tmp_path, key, value=None):
     """The scenario1 fixture with the line of ``key`` set to ``value``, or
     deleted when value is None; "section.key" edits the key in that section,
@@ -362,6 +373,15 @@ def test_bad_number_names_its_key(tmp_path, key, value, named):
         ("up:100:150:0.06", "up:100:150:0", "[content.2] phases: gamma must be positive"),
         ("u_max = 4", "u_max = 0", "[content.0] u_max: u_max must be a positive integer"),
         ("[generator]", "[gen]", "missing [generator] section"),
+        ("alpha0 = 0.6", "alpha0 = 0", "[content.2] alpha0: alpha0 and beta0 must be positive"),
+        ("beta0 = 11.4", "beta0 = -1", "[content.2] beta0: alpha0 and beta0 must be positive"),
+        ("down:260:310:0.06", "down:140:310:0.06",
+         "[content.2] phases: phases must be ordered and non-overlapping"),
+        ("horizon = 330", "horizon = -1", "[generator] horizon: horizon must be nonnegative"),
+        ("bin_width = 60", "bin_width = 0", "[generator] bin_width: bin_width must be positive"),
+        ("u_max = 4\nalpha0 = 1\nbeta0 = 11\n\n[content.2]",
+         "u_max = 4\nalpha0 = 1\nbeta0 = 11\nreplicate = 2\n\n[content.2]",
+         "duplicate content ids in generator config"),
     ],
 )
 def test_bad_generator_number_names_file_section_and_key(tmp_path, line, edited, named):

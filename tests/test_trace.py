@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -242,6 +243,31 @@ def test_csv_errors(tmp_path):
     p.write_text("t,content_id,count\n0,1,x\n")
     with pytest.raises(NonIntegerField):
         read_csv_trace(str(p))
+
+
+@pytest.mark.parametrize(
+    "text,error,message",
+    [
+        ("", BadHeader, "empty file"),
+        ("t,content_id,count\n0,1\n", NonIntegerField, "line 2: expected 3 fields, got 2"),
+        ("t,content_id,count\n-1,0,1\n", NonIntegerField,
+         "line 2: negative index in ['-1', '0', '1']"),
+    ],
+    ids=["empty-file", "two-fields", "negative-index"],
+)
+def test_csv_load_check_message(tmp_path, text, error, message):
+    p = tmp_path / "t.csv"
+    p.write_text(text)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        read_csv_trace(str(p))
+
+
+def test_csv_header_only_reads_as_an_empty_trace(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("t,content_id,count\n")
+    trace = read_csv_trace(str(p), bin_width=60.0)
+    assert trace == BinnedTrace(bin_width=60.0)
+    assert trace.horizon == 0 and trace.catalog == set()
 
 
 def test_csv_roundtrip_preserves_trailing_empty_bins_and_catalog(tmp_path):
