@@ -79,7 +79,6 @@ class FlagConfig:
 
 @dataclass
 class DetectionSeries:
-    window: int
     points: list[DetectionPoint] = field(default_factory=list)
     events: list[tuple[int, int]] = field(default_factory=list)
 
@@ -128,15 +127,6 @@ def build_distributions(trace: BinnedTrace, t: int, w: int) -> DistributionPair:
 _ONE_CONTENT_MIX = kernels.frechet_mix(np.ones(1), np.ones(1), 0.0)
 
 
-def _mix(pair: DistributionPair, rho: float) -> kernels.Mix:
-    mix = kernels.frechet_mix(pair.f, pair.g, rho)
-    if mix.status == kernels.MIX_CLAMPED:
-        logger.debug(
-            "sample rho %.4g beyond attainable bound %.4g; theta clamped", rho, mix.rho_bound
-        )
-    return mix
-
-
 class _Flagger:
     """Sequential event flagging over the C series."""
 
@@ -147,6 +137,7 @@ class _Flagger:
         self.seen = 0
         self.alpha = 2.0 / (cfg.warmup + 1.0)
         self.in_event = False
+        self.closed_at = -(10**9)  # t of the point that closed the last event
         self.frozen_threshold = 0.0
         self.streak = 0
         self.streak_start = -1
@@ -174,6 +165,7 @@ class _Flagger:
                 if self.streak >= self.cfg.m:
                     self.events.append((self._open_start, self.streak_start))
                     self.in_event = False
+                    self.closed_at = t
                     self.streak = 0
             else:
                 self.streak = 0
@@ -205,18 +197,19 @@ class _Flagger:
 
 
 class Detector:
-    """Incremental detector; feed bins in order, read points and events."""
+    """Incremental detector over the last w + 1 bins: feed bins in order,
+    read each point as ``update`` returns it and the events from ``events``."""
 
     def __init__(self, w: int = 1, flag_cfg: FlagConfig | None = None) -> None:
         if w <= 0:
             raise ValueError("window w must be positive")
         self.w = w
         self.cfg = flag_cfg or FlagConfig()
-        self.points: list[DetectionPoint] = []
         self.degenerate_points = 0
         self._flagger = _Flagger(self.cfg)
         self._history: deque[dict[int, int]] = deque(maxlen=w + 1)
         self._t = -1
+        self._last_point_t = w
 
     def update(self, counts: dict[int, int]) -> DetectionPoint | None:
         """Consume the next bin; returns its point once t >= w.
@@ -240,7 +233,13 @@ class Detector:
             mix = _ONE_CONTENT_MIX
         else:
             pair = _pair_from_bins(prev, now, support)
-            mix = _mix(pair, kernels.pearson_counts(pair.c_prev, pair.c_now))
+            rho = kernels.pearson_counts(pair.c_prev, pair.c_now)
+            mix = kernels.frechet_mix(pair.f, pair.g, rho)
+            if mix.status == kernels.MIX_CLAMPED:
+                logger.debug(
+                    "sample rho %.4g beyond attainable bound %.4g; theta clamped",
+                    rho, mix.rho_bound,
+                )
         # Point-mass marginals collapse the bound correlation to 0 on sparse
         # bins; that is routine in long replays, so count instead of warn.
         if mix.status == kernels.MIX_DEGENERATE:
@@ -253,21 +252,20 @@ class Detector:
             c_xy=mix.h_x + mix.h_y - mix.h_xy,
             n=len(support),
         )
-        self.points.append(point)
+        self._last_point_t = point.t
         self._flagger.observe(point.t, point.c_xy)
         return point
 
     @property
     def event_active(self) -> bool:
-        return self._flagger.in_event
+        """True in an event and for gap_merge bins after the point that
+        closed the last one, so that short dips between spikes do not flap
+        capacity."""
+        return self._flagger.in_event or self._t - self._flagger.closed_at < self.cfg.merge_gap
 
-    def series(self) -> DetectionSeries:
-        last_t = self.points[-1].t if self.points else self.w
-        return DetectionSeries(
-            window=self.w,
-            points=list(self.points),
-            events=self._flagger.finalize(last_t),
-        )
+    def events(self) -> list[tuple[int, int]]:
+        """The events so far, merged; one still open ends at the last point."""
+        return self._flagger.finalize(self._last_point_t)
 
 
 def detect(
@@ -281,6 +279,5 @@ def detect(
     if trace.horizon <= w:
         raise ValueError("trace horizon must exceed the window w")
     det = Detector(w=w, flag_cfg=flag_cfg)
-    for t in range(trace.horizon):
-        det.update(trace.bins[t])
-    return det.series()
+    points = [p for p in map(det.update, trace.bins) if p is not None]
+    return DetectionSeries(points, det.events())

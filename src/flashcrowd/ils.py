@@ -30,7 +30,7 @@ count the move has no undo entry for. A one-source candidate is
 checked against its source's terms for range, fresh key and cost bound; a
 swap against both events' terms for fresh keys and cost bound (it keeps
 every period). The cost bound is the exact backlog, attendance and hire
-delta (penalty prefix sums, x_count and z_count transitions), plus the copy
+delta (penalty rates, x_count and z_count transitions), plus the copy
 cost of each target (content, server) that holds no replica window, which
 the move must pay for a new one or fail, minus the copy cost of every
 non-origin source window the move empties; any other target window can
@@ -150,13 +150,6 @@ class OperationalPlan:
         self.backlog_cost = 0.0
         self.repl_cost = 0.0
         self.fin_cost = 0.0
-        # Penalty prefix sums: delay cost of a slice = (pen[t] - pen[o]) * amount.
-        self._pen: dict[int, list[float]] = {}
-        for r in inst.requests:
-            acc = [0.0] * (tf + 2)
-            for t in range(1, tf + 1):
-                acc[t + 1] = acc[t] + r.penalty_at(t)
-            self._pen[r.id] = acc
         # Billing slot of each period 0..horizon + 1.
         self.slot = [inst.slot_of(t) for t in range(tf + 2)]
         # Screen sources of live events (``source``); see ``apply_move``.
@@ -186,8 +179,7 @@ class OperationalPlan:
         return self.attend_cost + self.backlog_cost + self.repl_cost + self.fin_cost
 
     def _delay_cost(self, req: int, o: int, t: int, amount: float) -> float:
-        pen = self._pen[req]
-        return (pen[t] - pen[o]) * amount
+        return (t - o) * self.inst.request_by_id[req].penalty * amount
 
     # -- window mechanics --------------------------------------------------
 
@@ -213,7 +205,8 @@ class OperationalPlan:
         preceding window forward (persistence is free); retiming the next
         window's arrival back to t (same single copy); a new window, whose
         span shrinks to whatever storage allows. Only the last path charges
-        a copy cost.
+        a copy cost. A call that raises "no storage for replica" may keep
+        LRU truncations of use-free window tails; the plan stays feasible.
         """
         wins = self.windows.setdefault((k, j), [])
         for w in wins:
@@ -395,7 +388,6 @@ class OperationalPlan:
         new.backlog_cost = self.backlog_cost
         new.repl_cost = self.repl_cost
         new.fin_cost = self.fin_cost
-        new._pen = self._pen
         new.slot = self.slot
         new.sources = {}
         return new
@@ -727,8 +719,8 @@ class _Source:
             for req, o in self.slices:
                 if o > t2:
                     return True
-                pen = plan._pen[req]
-                bound += (pen[t2] - pen[t]) * requests[req].demand[o]
+                r = requests[req]
+                bound += (t2 - t) * r.penalty * r.demand[o]
         x_count = plan.x_count
         for req, attend in reqs:
             bound -= attend

@@ -151,9 +151,8 @@ def build_model(instance: PlanningInstance) -> LpModel:
         start = inst.content_by_id[r.content].start
         for t in range(start, tf + 1):
             continuous.append(b(r.id, t))
-            pen = r.penalty_at(t)
-            if pen:
-                objective[b(r.id, t)] = pen
+            if r.penalty:
+                objective[b(r.id, t)] = r.penalty
     for c in inst.contents:
         for j in server_ids:
             for t in range(c.start, tf + 1):

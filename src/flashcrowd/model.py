@@ -96,15 +96,10 @@ class Request:
     content: int
     attend_cost: float  # time units per (server, period) attendance
     demand: dict[int, float]  # period -> bytes arriving
-    penalty: dict[int, float] | float = 1.0  # backlog time units per byte per period
+    penalty: float = 1.0  # backlog time units per byte per period, the same every period
 
     def demand_at(self, t: int) -> float:
         return self.demand.get(t, 0.0)
-
-    def penalty_at(self, t: int) -> float:
-        if isinstance(self.penalty, dict):
-            return self.penalty.get(t, 0.0)
-        return self.penalty
 
     @property
     def total_demand(self) -> float:
@@ -188,8 +183,7 @@ class PlanningInstance:
         max_l = max((self.content_by_id[r.content].size for r in self.requests), default=0.0)
         for r in self.requests:
             values.append(r.attend_cost)
-            for t in range(1, self.horizon + 1):
-                values.append(r.penalty_at(t) * max_l)
+            values.append(r.penalty * max_l)
         for c in self.contents:
             values.append(c.copy_cost)
         for s in self.hirable:
@@ -271,7 +265,7 @@ def evaluate(instance: PlanningInstance, solution: Solution) -> CostBreakdown:
         request = instance.request_by_id.get(req)
         if request is None:
             raise UnknownId(f"unknown request {req}")
-        backlog += request.penalty_at(t) * amount
+        backlog += request.penalty * amount
     replication = 0.0
     for rep in solution.replications:
         content = instance.content_by_id.get(rep.content)

@@ -448,7 +448,7 @@ def run_pipeline(scenario: ScenarioConfig) -> RunReport:
     hired: list[_Server] = []  # provisioning or active, oldest first
     incoming: set[tuple[int, _Server, int]] = set()  # (arrival, server, content)
     pending: list[_SimRequest] = []
-    last_plan = last_flagged = -(10**9)
+    last_plan = -(10**9)
     plans: dict[tuple, _Plan] = {}  # this run's replans by input, see _replan
 
     for t in range(1, trace.horizon + 1):
@@ -469,13 +469,7 @@ def run_pipeline(scenario: ScenarioConfig) -> RunReport:
             srv.contents.add(cid)
         incoming -= landed
 
-        # The online event state mirrors the flagger's merge rule: activity
-        # holds for gap_merge bins past the last flagged point, so short
-        # between-spike dips at small support sizes do not flap capacity.
-        if detector.event_active:
-            last_flagged = t
-        event_active = t - last_flagged <= scenario.flag_cfg.merge_gap
-        if event_active and t - last_plan >= scenario.replan_interval:
+        if detector.event_active and t - last_plan >= scenario.replan_interval:
             last_plan = t
             _replan(scenario, t, pending, owned, hired, incoming, origins, report, bin_counts,
                     plans)
@@ -531,7 +525,7 @@ def run_pipeline(scenario: ScenarioConfig) -> RunReport:
         ), arrived_bytes)
 
     report.unserved_bytes = sum(r.remaining for r in pending)
-    report.events = detector.series().events
+    report.events = detector.events()
     return report
 
 

@@ -319,21 +319,39 @@ class TestDetect:
         det = Detector(w=1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for counts in trace.bins:
-                det.update(counts)
+            points = [det.update(counts) for counts in trace.bins]
         assert caught == []
-        assert det.degenerate_points == 1 and len(det.points) == 1
+        assert det.degenerate_points == 1 and points[0] is None and points[1] is not None
         pair = build_distributions(trace, 1, 1)
         assert kernels.frechet_mix(pair.f, pair.g, -1.0).status == kernels.MIX_DEGENERATE
 
     def test_online_matches_batch(self):
         trace = generate(flash_config(2, horizon=600, up=(200, 260), down=(420, 480)))
         det = Detector(w=1, flag_cfg=FlagConfig(warmup=80))
-        for t in range(trace.horizon):
-            det.update(trace.bins[t])
-        online = det.series()
+        online = [det.update(trace.bins[t]) for t in range(trace.horizon)]
         batch = detect(trace, w=1, flag_cfg=FlagConfig(warmup=80))
-        assert online.points == batch.points and online.events == batch.events
+        assert [p for p in online if p is not None] == batch.points
+        assert det.events() == batch.events
+
+    @pytest.mark.parametrize("gap_merge", [0, 1, 60])
+    def test_event_active_holds_gap_merge_bins_past_the_last_in_event_bin(self, gap_merge):
+        # The replay once kept this rule itself: the bin t (1-based) is
+        # active while t is within gap_merge bins of the last bin after whose
+        # update the flagger was in an event. Three empty bins in a row give
+        # skipped pairs, in events and between them.
+        bins = list(generate(flash_config(2, horizon=600, up=(200, 260), down=(420, 480))).bins)
+        for start in (150, 178, 300, 481, 522):
+            bins[start:start + 3] = [{}] * 3
+        det = Detector(w=1, flag_cfg=FlagConfig(k=2.0, m=2, warmup=80, gap_merge=gap_merge))
+        last_in_event, held = -(10**9), 0
+        for t, counts in enumerate(bins, start=1):
+            det.update(counts)
+            if det._flagger.in_event:
+                last_in_event = t
+            assert det.event_active == (t - last_in_event <= gap_merge), t
+            held += det.event_active and not det._flagger.in_event
+        assert len(det.events()) == (7 if gap_merge < 60 else 1)
+        assert held == {0: 0, 1: 7, 60: 193}[gap_merge]
 
 
 def kernel_point(prev, now):
@@ -377,13 +395,13 @@ class TestOneContentPoint:
         point = det.update(now)
         assert repr(point) == repr(expected)
         assert self.signed(point) == self.signed(expected)
-        assert det.points == [point] and det.degenerate_points == 0
+        assert det.degenerate_points == 0
 
     def test_all_zero_pair_gives_no_point(self):
         det = Detector(w=1)
         assert det.update({3: 0}) is None
         assert det.update({3: 0, 5: 0}) is None
-        assert det.points == [] and det.degenerate_points == 0
+        assert det.degenerate_points == 0
 
 
 class TestExactOracle:

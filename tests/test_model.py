@@ -174,7 +174,7 @@ class TestEvaluate:
         assert one_slot.financial_normalized <= 1.0
         coefficients = [r.attend_cost for r in inst.requests]
         coefficients += [c.copy_cost for c in inst.contents]
-        coefficients += [r.penalty_at(1) for r in inst.requests]
+        coefficients += [r.penalty for r in inst.requests]
         assert one_slot.financial_normalized <= min(coefficients)
 
     def test_unknown_ids(self):

@@ -8,8 +8,8 @@ would certainly fail (an existing fresh destination event, a period
 outside [arrival, horizon], bandwidth exceeded well beyond place's
 tolerance) and moves whose cost delta has a lower bound >= 0.0.
 
-The bound is the exact backlog, attendance and hire delta (penalty prefix
-sums, x_count and z_count transitions), plus the copy cost of each target
+The bound is the exact backlog, attendance and hire delta (penalty
+rates, x_count and z_count transitions), plus the copy cost of each target
 (content, server) that holds no replica window, minus the copy cost of
 every non-origin source window the move empties. A target without a window
 can only be served from a new one, which costs one copy (``_ensure_window``
@@ -103,8 +103,7 @@ def cannot_improve(plan: OperationalPlan, move: Move) -> bool:
         j, t = placements[sl]
         r = requests[req]
         k = r.content
-        pen = plan._pen[req]
-        bound += (pen[t2] - pen[t]) * r.demand[o]
+        bound += (t2 - t) * r.penalty * r.demand[o]
         sources.add((k, j, t))
         key = (req, j, t)
         x_delta[key] = x_delta.get(key, 0) - 1
