@@ -404,6 +404,46 @@ class TestOneContentPoint:
         assert det.degenerate_points == 0
 
 
+def random_pairs(count, seed=23):
+    """count seeded pairs of 2-12 contents whose support has two or more."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        n = int(rng.integers(2, 13))
+        prev = {i: int(c) for i, c in enumerate(rng.integers(0, 10, n))}
+        now = {i: int(c) for i, c in enumerate(rng.integers(0, 10, n))}
+        if sum(1 for i in range(n) if prev[i] or now[i]) >= 2:
+            pairs.append((prev, now))
+    return pairs
+
+
+class TestManyContentPoint:
+    """A pair whose support is two or more contents gives the kernel path's
+    point, and a degenerate mix is counted."""
+
+    PAIRS = [
+        ({}, {1: 2, 5: 2}),  # a one-sided empty bin
+        ({0: 3}, {0: 1, 1: 2}),  # degenerate
+        ({0: 1, 1: 2}, {0: 2, 1: 3}),  # clamped
+        ({1: 3, 2: 1}, {1: 1, 2: 3}),  # antithetic
+        *random_pairs(20),
+    ]
+
+    @pytest.mark.parametrize("prev, now", PAIRS)
+    def test_matches_kernel_path(self, prev, now):
+        expected, status = kernel_point(prev, now)
+        assert expected.n >= 2
+        det = Detector(w=1)
+        assert det.update(prev) is None
+        assert repr(det.update(now)) == repr(expected)
+        assert det.degenerate_points == (status == kernels.MIX_DEGENERATE)
+
+    def test_pairs_cover_every_status(self):
+        statuses = [kernel_point(prev, now)[1] for prev, now in self.PAIRS]
+        assert statuses[1:3] == [kernels.MIX_DEGENERATE, kernels.MIX_CLAMPED]
+        assert set(statuses) == {kernels.MIX_OK, kernels.MIX_DEGENERATE, kernels.MIX_CLAMPED}
+
+
 class TestExactOracle:
     """rho_bound, theta and H(X, Y) against the rational staircase oracle."""
 
