@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,26 +23,6 @@ from . import kernels
 from .trace import BinnedTrace
 
 logger = logging.getLogger(__name__)
-
-
-class EmptyBin(ValueError):
-    """Both bins of a comparison pair have zero accesses."""
-
-
-@dataclass(frozen=True)
-class DistributionPair:
-    """Marginals of the accesses at t - w (f) and t (g).
-
-    The support is the ascending union of contents with nonzero counts in
-    either bin; a content's position in it is its value in the moments.
-    A bin with zero total is represented as uniform over the support.
-    """
-
-    support: tuple[int, ...]
-    c_prev: np.ndarray
-    c_now: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -79,11 +59,13 @@ class FlagConfig:
 
 @dataclass
 class DetectionSeries:
-    points: list[DetectionPoint] = field(default_factory=list)
-    events: list[tuple[int, int]] = field(default_factory=list)
+    points: list[DetectionPoint]
+    events: list[tuple[int, int]]
 
 
 def _marginal(counts: np.ndarray) -> np.ndarray:
+    """A bin's access distribution over the support; a bin with zero total
+    is represented as uniform over the support."""
     total = counts.sum()
     if total == 0:
         return np.full(counts.shape, 1.0 / counts.shape[0])
@@ -91,35 +73,9 @@ def _marginal(counts: np.ndarray) -> np.ndarray:
 
 
 def _support(prev: dict[int, int], now: dict[int, int]) -> list[int]:
-    support = sorted(
-        {c for c, n in prev.items() if n > 0} | {c for c, n in now.items() if n > 0}
-    )
-    if not support:
-        raise EmptyBin("no accesses in either bin")
-    return support
-
-
-def _pair_from_bins(
-    prev: dict[int, int], now: dict[int, int], support: list[int]
-) -> DistributionPair:
-    c_prev = np.array([prev.get(c, 0) for c in support], dtype=np.float64)
-    c_now = np.array([now.get(c, 0) for c in support], dtype=np.float64)
-    return DistributionPair(
-        support=tuple(support),
-        c_prev=c_prev,
-        c_now=c_now,
-        f=_marginal(c_prev),
-        g=_marginal(c_now),
-    )
-
-
-def build_distributions(trace: BinnedTrace, t: int, w: int) -> DistributionPair:
-    if w <= 0:
-        raise ValueError("window w must be positive")
-    if t < w or t >= trace.horizon:
-        raise ValueError(f"need w <= t < horizon, got t={t}")
-    prev, now = trace.bins[t - w], trace.bins[t]
-    return _pair_from_bins(prev, now, _support(prev, now))
+    """The ascending contents with nonzero counts in either bin, empty when
+    neither has one; a content's position is its value in the moments."""
+    return sorted({c for c, n in prev.items() if n > 0} | {c for c, n in now.items() if n > 0})
 
 
 # The mix of every one-content pair: both marginals are [1.0], and the
@@ -214,27 +170,28 @@ class Detector:
     def update(self, counts: dict[int, int]) -> DetectionPoint | None:
         """Consume the next bin; returns its point once t >= w.
 
-        An empty comparison pair is skipped: no point is recorded and the
-        flagging streaks are left untouched. A pair whose support is one
-        content has both marginals [1.0] and a Pearson coefficient of 0, so
-        its point is the same for every such pair: it takes the mix the
-        kernels give once at import (C = 0, status OK) and calls none.
+        A pair of two empty bins has an empty support and is skipped: no
+        point is recorded and the flagging streaks are left untouched. A
+        pair whose support is one content has both marginals [1.0] and a
+        Pearson coefficient of 0, so its point is the same for every such
+        pair: it takes the mix the kernels give once at import (C = 0,
+        status OK) and calls none.
         """
         self._t += 1
         self._history.append(counts)
         if self._t < self.w:
             return None
         prev, now = self._history[0], self._history[-1]
-        try:
-            support = _support(prev, now)
-        except EmptyBin:
+        support = _support(prev, now)
+        if not support:
             return None
         if len(support) == 1:
             mix = _ONE_CONTENT_MIX
         else:
-            pair = _pair_from_bins(prev, now, support)
-            rho = kernels.pearson_counts(pair.c_prev, pair.c_now)
-            mix = kernels.frechet_mix(pair.f, pair.g, rho)
+            c_prev = np.array([prev.get(c, 0) for c in support], dtype=np.float64)
+            c_now = np.array([now.get(c, 0) for c in support], dtype=np.float64)
+            rho = kernels.pearson_counts(c_prev, c_now)
+            mix = kernels.frechet_mix(_marginal(c_prev), _marginal(c_now), rho)
             if mix.status == kernels.MIX_CLAMPED:
                 logger.debug(
                     "sample rho %.4g beyond attainable bound %.4g; theta clamped",

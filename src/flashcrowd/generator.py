@@ -50,7 +50,7 @@ class PhaseSchedule:
     def __post_init__(self) -> None:
         if self.t0 >= self.t1:
             raise ValueError("phase requires t0 < t1")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
 
 
@@ -78,10 +78,10 @@ class ContentProfile:
     phases: tuple[PhaseSchedule, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.u_max <= 0:
+        if not self.u_max > 0:
             raise BadValue("u_max", "u_max must be a positive integer")
-        if self.alpha0 <= 0 or self.beta0 <= 0:
-            key = "alpha0" if self.alpha0 <= 0 else "beta0"
+        if not (self.alpha0 > 0 and self.beta0 > 0):
+            key = "beta0" if self.alpha0 > 0 else "alpha0"
             raise BadValue(key, "alpha0 and beta0 must be positive")
         last_end = -1
         for ph in self.phases:
@@ -119,9 +119,9 @@ class GeneratorConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.horizon < 0:
+        if not self.horizon >= 0:
             raise BadValue("horizon", "horizon must be nonnegative")
-        if self.bin_width <= 0:
+        if not self.bin_width > 0:
             raise BadValue("bin_width", "bin_width must be positive")
         for prof in self.contents:
             for ph in prof.phases:
@@ -250,7 +250,10 @@ def read_generator_config(path: str, seed: int | None = None) -> GeneratorConfig
             continue
         sec = cp[section]
         base_id = _number(path, sec, "section id", int, text=section.split(".", 1)[1])
-        for offset in range(_number(path, sec, "replicate", int, 1)):
+        replicate = _number(path, sec, "replicate", int, 1)
+        if replicate < 1:
+            raise ValueError(f"{path}: [{section}] replicate: replicate must be a positive integer")
+        for offset in range(replicate):
             try:
                 contents.append(
                     ContentProfile(

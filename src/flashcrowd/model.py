@@ -67,11 +67,11 @@ class Server:
     def __post_init__(self) -> None:
         if self.kind not in (OWNED, HIRABLE):
             raise InstanceInvalid(f"server {self.id}: bad kind {self.kind!r}")
-        if self.storage <= 0 or self.bandwidth <= 0:
+        if not (self.storage > 0 and self.bandwidth > 0):
             raise InstanceInvalid(f"server {self.id}: storage/bandwidth must be positive")
         if self.kind == OWNED and self.cost != 0:
             raise InstanceInvalid(f"server {self.id}: owned servers have zero cost")
-        if self.kind == HIRABLE and self.cost <= 0:
+        if self.kind == HIRABLE and not self.cost > 0:
             raise InstanceInvalid(f"server {self.id}: hirable servers need positive cost")
 
 
@@ -84,10 +84,10 @@ class Content:
     copy_cost: float  # time units per replication
 
     def __post_init__(self) -> None:
-        if self.size <= 0:
+        if not self.size > 0:
             raise InstanceInvalid(f"content {self.id}: size must be positive")
-        if self.copy_cost < 0:
-            raise InstanceInvalid(f"content {self.id}: negative copy cost")
+        if not self.copy_cost >= 0:
+            raise InstanceInvalid(f"content {self.id}: copy cost must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class PlanningInstance:
             raise InstanceInvalid("duplicate request ids")
         if self.horizon < 1:
             raise InstanceInvalid("horizon must cover at least one period")
-        if self.client_bandwidth <= 0:
+        if not self.client_bandwidth > 0:
             raise InstanceInvalid("client bandwidth must be positive")
         if self.replication_delay < 0 or self.provisioning_delay < 0:
             raise InstanceInvalid("delays must be nonnegative")
@@ -144,13 +144,17 @@ class PlanningInstance:
             content = self.content_by_id.get(r.content)
             if content is None:
                 raise InstanceInvalid(f"request {r.id}: unknown content {r.content}")
+            if not r.attend_cost >= 0:
+                raise InstanceInvalid(f"request {r.id}: attendance cost must be nonnegative")
+            if not r.penalty >= 0:
+                raise InstanceInvalid(f"request {r.id}: penalty must be nonnegative")
             if abs(r.total_demand - content.size) > EPS:
                 raise InstanceInvalid(
                     f"request {r.id}: total demand {r.total_demand} != content size {content.size}"
                 )
             for t, d in r.demand.items():
-                if d < 0:
-                    raise InstanceInvalid(f"request {r.id}: negative demand at {t}")
+                if not d >= 0:
+                    raise InstanceInvalid(f"request {r.id}: demand at {t} must be nonnegative")
                 if d > 0 and t < content.start:
                     raise InstanceInvalid(
                         f"request {r.id}: demand at {t} before content start {content.start}"

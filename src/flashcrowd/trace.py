@@ -77,7 +77,7 @@ class BinnedTrace:
     catalog: set[int] = field(default_factory=set)
 
     def __post_init__(self) -> None:
-        if self.bin_width <= 0:
+        if not self.bin_width > 0:
             raise ValueError("bin_width must be positive")
         for b in self.bins:
             for cid, count in b.items():
@@ -209,7 +209,7 @@ def bin_records(
 
     ``interner`` is not read; the ingest benchmark passes it.
     """
-    if bin_width <= 0:
+    if not bin_width > 0:
         raise ValueError("bin_width must be positive")
     # Counts keyed by absolute bin index; floor is monotone, so the least
     # index is the bin of the earliest timestamp and becomes bin 0.

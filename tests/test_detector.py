@@ -1,18 +1,12 @@
 import math
 import warnings
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from flashcrowd import kernels
-from flashcrowd.detector import (
-    DetectionPoint,
-    Detector,
-    EmptyBin,
-    FlagConfig,
-    build_distributions,
-    detect,
-)
+from flashcrowd import detector, kernels
+from flashcrowd.detector import DetectionPoint, Detector, FlagConfig, detect
 from flashcrowd.generator import (
     ContentProfile,
     GeneratorConfig,
@@ -28,9 +22,22 @@ def trace_of(*bins, width=1.0):
     return BinnedTrace(width, [dict(b) for b in bins], set())
 
 
+Pair = namedtuple("Pair", "support c_prev c_now f g")
+
+
+def pair_of(prev, now):
+    """The support, count vectors and marginals that ``Detector.update``
+    compares for the bins (prev, now)."""
+    support = detector._support(prev, now)
+    c_prev = np.array([prev.get(c, 0) for c in support], dtype=np.float64)
+    c_now = np.array([now.get(c, 0) for c in support], dtype=np.float64)
+    f, g = detector._marginal(c_prev), detector._marginal(c_now)
+    return Pair(tuple(support), c_prev, c_now, f, g)
+
+
 def sample_rho(prev, now):
     """Pearson coefficient of the count vectors the detector compares."""
-    pair = build_distributions(trace_of(prev, now), 1, 1)
+    pair = pair_of(prev, now)
     return kernels.pearson_counts(pair.c_prev, pair.c_now)
 
 
@@ -49,27 +56,28 @@ def expect_degenerate(pair, rho):
 
 class TestBuildDistributions:
     def test_single_content(self):
-        pair = build_distributions(trace_of({7: 4}, {7: 4}), 1, 1)
+        pair = pair_of({7: 4}, {7: 4})
         assert pair.support == (7,)
         assert pair.f.tolist() == [1.0] and pair.g.tolist() == [1.0]
 
     def test_normalization(self):
-        pair = build_distributions(trace_of({1: 3, 2: 1}, {1: 1, 2: 3}), 1, 1)
+        pair = pair_of({1: 3, 2: 1}, {1: 1, 2: 3})
         assert pair.f.tolist() == [0.75, 0.25]
         assert pair.g.tolist() == [0.25, 0.75]
 
     def test_disjoint_supports(self):
-        pair = build_distributions(trace_of({1: 2}, {2: 2}), 1, 1)
+        pair = pair_of({1: 2}, {2: 2})
         assert pair.support == (1, 2)
         assert pair.f.tolist() == [1.0, 0.0]
         assert pair.g.tolist() == [0.0, 1.0]
 
-    def test_empty_pair_raises(self):
-        with pytest.raises(EmptyBin):
-            build_distributions(trace_of({}, {}), 1, 1)
+    def test_empty_pair_has_empty_support(self):
+        # Detector.update gives no point for such a pair.
+        assert detector._support({}, {}) == []
+        assert detector._support({3: 0}, {3: 0, 5: 0}) == []
 
     def test_one_sided_empty_bin_uniform(self):
-        pair = build_distributions(trace_of({}, {1: 2, 5: 2}), 1, 1)
+        pair = pair_of({}, {1: 2, 5: 2})
         assert pair.f.tolist() == [0.5, 0.5]
 
     def test_sums_to_one(self):
@@ -77,7 +85,7 @@ class TestBuildDistributions:
         for _ in range(50):
             prev = {int(c): int(n) for c, n in zip(rng.integers(0, 30, 6), rng.integers(1, 9, 6))}
             now = {int(c): int(n) for c, n in zip(rng.integers(0, 30, 6), rng.integers(1, 9, 6))}
-            pair = build_distributions(trace_of(prev, now), 1, 1)
+            pair = pair_of(prev, now)
             assert abs(pair.f.sum() - 1) < 1e-12 and abs(pair.g.sum() - 1) < 1e-12
 
 
@@ -95,7 +103,7 @@ class TestSampleRho:
 
 class TestFrechetJoint:
     def test_independent_product(self):
-        pair = build_distributions(trace_of({1: 3, 2: 1}, {1: 1, 2: 3}), 1, 1)
+        pair = pair_of({1: 3, 2: 1}, {1: 1, 2: 3})
         joint = kernels.frechet_mix(pair.f, pair.g, 0.0)
         assert np.allclose(dense_joint(joint, pair.f, pair.g), np.outer(pair.f, pair.g), atol=0)
         assert joint.theta == 0.0
@@ -103,7 +111,7 @@ class TestFrechetJoint:
     def test_antithetic_lower_bound(self):
         # Hand evaluation: f=[.75,.25], g=[.25,.75], rho=-1 puts all mass on
         # the antidiagonal and the lower-extreme correlation is exactly -1.
-        pair = build_distributions(trace_of({1: 3, 2: 1}, {1: 1, 2: 3}), 1, 1)
+        pair = pair_of({1: 3, 2: 1}, {1: 1, 2: 3})
         joint = kernels.frechet_mix(pair.f, pair.g, -1.0)
         assert joint.rho_bound == pytest.approx(-1.0, abs=1e-12)
         assert joint.theta == pytest.approx(1.0, abs=1e-12)
@@ -112,7 +120,7 @@ class TestFrechetJoint:
 
     def test_comonotone_upper_bound(self):
         # f = g and rho = 1: the upper extreme is the diagonal coupling.
-        pair = build_distributions(trace_of({1: 1, 2: 3}, {1: 1, 2: 3}), 1, 1)
+        pair = pair_of({1: 1, 2: 3}, {1: 1, 2: 3})
         joint = kernels.frechet_mix(pair.f, pair.g, 1.0)
         assert joint.theta == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(dense_joint(joint, pair.f, pair.g), np.diag(pair.f), atol=1e-12)
@@ -125,7 +133,7 @@ class TestFrechetJoint:
             cn = {i: int(c) for i, c in enumerate(rng.integers(0, 10, n))}
             if sum(cp.values()) == 0 and sum(cn.values()) == 0:
                 continue
-            pair = build_distributions(trace_of(cp, cn), 1, 1)
+            pair = pair_of(cp, cn)
             lo_mix = kernels.frechet_mix(pair.f, pair.g, -1e-9)
             hi_mix = kernels.frechet_mix(pair.f, pair.g, 1e-9)
             for mix, rho in ((lo_mix, -1e-9), (hi_mix, 1e-9)):
@@ -161,7 +169,7 @@ class TestFrechetJoint:
     def test_theta_clamped_when_rho_exceeds_bound(self):
         # Proportional-plus-offset counts: sample rho is 1 but the ordinal
         # upper bound is weaker, so theta clamps to 1.
-        pair = build_distributions(trace_of({0: 1, 1: 2}, {0: 2, 1: 3}), 1, 1)
+        pair = pair_of({0: 1, 1: 2}, {0: 2, 1: 3})
         rho = sample_rho({0: 1, 1: 2}, {0: 2, 1: 3})
         assert rho == pytest.approx(1.0)
         joint = kernels.frechet_mix(pair.f, pair.g, rho)
@@ -170,7 +178,7 @@ class TestFrechetJoint:
         assert (dense_joint(joint, pair.f, pair.g) >= -1e-15).all()
 
     def test_degenerate_bound_warns_and_falls_back(self):
-        pair = build_distributions(trace_of({1: 4}, {1: 4}), 1, 1)
+        pair = pair_of({1: 4}, {1: 4})
         joint = kernels.frechet_mix(pair.f, pair.g, 0.5)
         assert joint.status == kernels.MIX_DEGENERATE
         assert dense_joint(joint, pair.f, pair.g).tolist() == [[1.0]]
@@ -235,6 +243,14 @@ def flash_config(seed, n_total=20, n_hot=5, horizon=3000, up=(800, 1000), down=(
 
 
 class TestDetect:
+    def test_window_must_be_positive(self):
+        with pytest.raises(ValueError, match="^window w must be positive$"):
+            Detector(w=0)
+
+    def test_trace_no_longer_than_the_window_is_rejected(self):
+        with pytest.raises(ValueError, match="^trace horizon must exceed the window w$"):
+            detect(trace_of({0: 1}, {0: 2}), w=2)
+
     def test_constant_trace_no_events(self):
         bins = [{0: 5, 1: 5, 2: 5} for _ in range(400)]
         series = detect(BinnedTrace(1.0, bins, set()), w=1, flag_cfg=FlagConfig(warmup=50))
@@ -322,7 +338,7 @@ class TestDetect:
             points = [det.update(counts) for counts in trace.bins]
         assert caught == []
         assert det.degenerate_points == 1 and points[0] is None and points[1] is not None
-        pair = build_distributions(trace, 1, 1)
+        pair = pair_of(*trace.bins)
         assert kernels.frechet_mix(pair.f, pair.g, -1.0).status == kernels.MIX_DEGENERATE
 
     def test_online_matches_batch(self):
@@ -357,7 +373,7 @@ class TestDetect:
 def kernel_point(prev, now):
     """The point at t = 1 of the pair (prev, now) by the kernel path:
     marginals, Pearson coefficient and Frechet mix; with the mix's status."""
-    pair = build_distributions(trace_of(prev, now), 1, 1)
+    pair = pair_of(prev, now)
     mix = kernels.frechet_mix(pair.f, pair.g, kernels.pearson_counts(pair.c_prev, pair.c_now))
     c_xy = mix.h_x + mix.h_y - mix.h_xy
     return DetectionPoint(1, mix.h_x, mix.h_y, mix.h_xy, c_xy, len(pair.support)), mix.status
@@ -454,7 +470,7 @@ class TestExactOracle:
             prev = {i: int(c) for i, c in enumerate(rng.integers(0, 40, n))}
             now = {i: int(c) for i, c in enumerate(rng.integers(0, 40, n))}
             prev[0] += 1
-            pair = build_distributions(trace_of(prev, now), 1, 1)
+            pair = pair_of(prev, now)
             counts = (pair.c_prev.astype(int).tolist(), pair.c_now.astype(int).tolist())
             for rho in (-1.0, -0.3, -1e-3, 0.0, 0.2, 1.0):
                 joint = kernels.frechet_mix(pair.f, pair.g, rho)

@@ -1,7 +1,9 @@
+import math
 import re
 
 import pytest
 
+from flashcrowd.generator import BadValue, ContentProfile, GeneratorConfig, PhaseKind, PhaseSchedule
 from flashcrowd.instances import spread_demand
 from flashcrowd.model import (
     AttendanceTuple,
@@ -18,6 +20,7 @@ from flashcrowd.model import (
     check_feasibility,
     evaluate,
 )
+from flashcrowd.trace import BinnedTrace
 
 from util_instances import tiny_instance_o1
 
@@ -55,7 +58,7 @@ INVALID = {
     "server-storage": (lambda: Server(0, OWNED, 0, 10), "storage/bandwidth must be positive"),
     "server-bandwidth": (lambda: Server(0, OWNED, 10, -1), "storage/bandwidth must be positive"),
     "content-size": (lambda: Content(0, 0, 1, 0, 1.0), "size must be positive"),
-    "copy-cost": (lambda: Content(0, 10, 1, 0, -1.0), "negative copy cost"),
+    "copy-cost": (lambda: Content(0, 10, 1, 0, -1.0), "copy cost must be nonnegative"),
     "duplicate-server": (
         lambda: instance_with(servers=[Server(0, OWNED, 50, 20)] * 2), "duplicate server ids"),
     "duplicate-content": (
@@ -80,10 +83,68 @@ INVALID = {
         lambda: instance_with(requests=[Request(0, 9, 2.5, {1: 10.0})]), "unknown content 9"),
     "negative-demand": (
         lambda: instance_with(requests=[Request(0, 0, 2.5, {1: -5.0, 2: 15.0})]),
-        "negative demand at 1"),
+        "demand at 1 must be nonnegative"),
     "demand-outside-horizon": (
         lambda: instance_with(requests=[Request(0, 0, 2.5, {1: 5.0, 3: 5.0})]),
         "demand period 3 outside horizon"),
+}
+
+
+NAN = math.nan
+
+
+def request_with(**changes):
+    """``instance_with`` whose one request has ``changes``."""
+    args = dict(id=0, content=0, attend_cost=2.5, demand={1: 10.0})
+    return instance_with(requests=[Request(**{**args, **changes})])
+
+
+# Each number check of the model, generator and trace in its NaN-rejecting
+# form: a construction that fails it, the error and the full message.
+NOT_IN_RANGE = {
+    "server-storage-nan": (
+        lambda: Server(0, OWNED, NAN, 10), InstanceInvalid,
+        "server 0: storage/bandwidth must be positive"),
+    "server-bandwidth-nan": (
+        lambda: Server(0, OWNED, 10, NAN), InstanceInvalid,
+        "server 0: storage/bandwidth must be positive"),
+    "hirable-cost-nan": (
+        lambda: Server(0, HIRABLE, 10, 10, NAN), InstanceInvalid,
+        "server 0: hirable servers need positive cost"),
+    "content-size-nan": (
+        lambda: Content(0, NAN, 1, 0, 1.0), InstanceInvalid, "content 0: size must be positive"),
+    "copy-cost-nan": (
+        lambda: Content(0, 10, 1, 0, NAN), InstanceInvalid,
+        "content 0: copy cost must be nonnegative"),
+    "client-bandwidth-nan": (
+        lambda: instance_with(client_bandwidth=NAN), InstanceInvalid,
+        "client bandwidth must be positive"),
+    "demand-nan": (
+        lambda: request_with(demand={1: NAN}), InstanceInvalid,
+        "request 0: demand at 1 must be nonnegative"),
+    "penalty-negative": (
+        lambda: request_with(penalty=-1.0), InstanceInvalid,
+        "request 0: penalty must be nonnegative"),
+    "penalty-nan": (
+        lambda: request_with(penalty=NAN), InstanceInvalid,
+        "request 0: penalty must be nonnegative"),
+    "attend-cost-negative": (
+        lambda: request_with(attend_cost=-1.0), InstanceInvalid,
+        "request 0: attendance cost must be nonnegative"),
+    "attend-cost-nan": (
+        lambda: request_with(attend_cost=NAN), InstanceInvalid,
+        "request 0: attendance cost must be nonnegative"),
+    "alpha0-nan": (
+        lambda: ContentProfile(0, 4, NAN, 1.0), BadValue, "alpha0 and beta0 must be positive"),
+    "beta0-nan": (
+        lambda: ContentProfile(0, 4, 1.0, NAN), BadValue, "alpha0 and beta0 must be positive"),
+    "gamma-nan": (
+        lambda: PhaseSchedule(1, 5, NAN, PhaseKind.RAMP_UP), ValueError,
+        "gamma must be positive"),
+    "generator-bin-width-nan": (
+        lambda: GeneratorConfig([], 10, NAN, 0), BadValue, "bin_width must be positive"),
+    "trace-bin-width-nan": (
+        lambda: BinnedTrace(NAN), ValueError, "bin_width must be positive"),
 }
 
 
@@ -93,6 +154,13 @@ class TestInstanceValidation:
         build, message = INVALID[case]
         with pytest.raises(InstanceInvalid, match=re.escape(message)):
             build()
+
+    @pytest.mark.parametrize("case", NOT_IN_RANGE)
+    def test_nan_or_negative_value_rejected_with_its_message(self, case):
+        build, error, message = NOT_IN_RANGE[case]
+        with pytest.raises(error) as caught:
+            build()
+        assert caught.value.args == (message,)
 
     def test_demand_must_match_content_size(self):
         with pytest.raises(InstanceInvalid):
@@ -186,6 +254,18 @@ class TestEvaluate:
         with pytest.raises(UnknownId):
             evaluate(inst, Solution(hires={(9, 1)}))
 
+    @pytest.mark.parametrize("solution, message", [
+        (Solution(tuples=[AttendanceTuple(0, 0, 1, {9: 1.0})]), "unknown request 9"),
+        (Solution(tuples=[AttendanceTuple(9, 0, 1, {0: 1.0})]), "unknown content 9"),
+        (Solution(replications=[Replication(9, 0, 0, 1)]), "unknown content 9"),
+        (Solution(replications=[Replication(0, 0, 9, 1)]),
+         "unknown server in replication Replication(content=0, source=0, target=9, period=1)"),
+    ])
+    def test_unknown_id_is_named(self, solution, message):
+        with pytest.raises(UnknownId) as caught:
+            evaluate(simple_instance(), solution)
+        assert caught.value.args == (message,)
+
 
 # One hand-built corrected-mode violation per family that no solver output
 # or workload produces: simple_instance arguments and the solution.
@@ -205,6 +285,15 @@ class TestFeasibility:
         args, sol = VIOLATING[family]
         families = {v.family for v in check_feasibility(simple_instance(**args), sol, "corrected")}
         assert family in families
+
+    @pytest.mark.parametrize("replica, message", [
+        ((9, 0, 1), "unknown content 9 in replicas"),
+        ((0, 9, 1), "unknown server 9 in replicas"),
+    ])
+    def test_replica_with_unknown_id_is_named(self, replica, message):
+        with pytest.raises(UnknownId) as caught:
+            check_feasibility(simple_instance(), Solution(replicas={(0, 0, 1), replica}))
+        assert caught.value.args == (message,)
 
     def test_valid_solution_clean(self):
         inst = simple_instance()

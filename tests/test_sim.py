@@ -79,6 +79,9 @@ def test_compare_rejects_mismatched_runs(tmp_path, reports):
     for metric, first in (("event_start", start), ("event_end", end)):
         a, b, delta = same.value(metric)
         assert a == first and math.isnan(b) and math.isnan(delta)
+    with pytest.raises(KeyError) as caught:
+        same.value("total_kost")
+    assert caught.value.args == ("total_kost",)
 
 
 def test_flat_scenario_hires_nothing(scenarios, reports):
@@ -382,6 +385,12 @@ def test_bad_number_names_its_key(tmp_path, key, value, named):
         ("u_max = 4\nalpha0 = 1\nbeta0 = 11\n\n[content.2]",
          "u_max = 4\nalpha0 = 1\nbeta0 = 11\nreplicate = 2\n\n[content.2]",
          "duplicate content ids in generator config"),
+        ("u_max = 4\nalpha0 = 1\nbeta0 = 11\n\n[content.2]",
+         "u_max = 4\nalpha0 = 1\nbeta0 = 11\nreplicate = 0\n\n[content.2]",
+         "[content.1] replicate: replicate must be a positive integer"),
+        ("u_max = 4\nalpha0 = 1\nbeta0 = 11\n\n[content.2]",
+         "u_max = 4\nalpha0 = 1\nbeta0 = 11\nreplicate = -3\n\n[content.2]",
+         "[content.1] replicate: replicate must be a positive integer"),
     ],
 )
 def test_bad_generator_number_names_file_section_and_key(tmp_path, line, edited, named):

@@ -174,6 +174,20 @@ def test_parse_clf_lines_logs_one_debug_record_per_call(caplog):
     ]
 
 
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: BinnedTrace(0.0), ValueError, "bin_width must be positive"),
+        (lambda: BinnedTrace(1.0, [{3: -1}]), NegativeCount, "negative count for content 3"),
+        (lambda: bin_records({}, 0.0, ContentInterner()), ValueError, "bin_width must be positive"),
+    ],
+    ids=["trace-bin-width", "trace-negative-count", "bin-records-bin-width"],
+)
+def test_binned_trace_load_check_message(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_bin_records_empty():
     trace = bin_records({}, 60, ContentInterner())
     assert trace.horizon == 0 and trace.catalog == set()
