@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import util_clf
 from flashcrowd.generator import ContentProfile, GeneratorConfig, generate
 from flashcrowd.trace import (
     BadHeader,
@@ -172,6 +173,129 @@ def test_parse_clf_lines_logs_one_debug_record_per_call(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "parsed 4 log lines: 1 skipped, 2 distinct timestamps"
     ]
+
+
+def test_parse_clf_lines_of_nothing_logs_zeros(caplog):
+    with caplog.at_level(logging.DEBUG, logger="flashcrowd.trace"):
+        assert parse_clf_lines(iter(()), ContentInterner()) == ({}, 0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "parsed 0 log lines: 0 skipped, 0 distinct timestamps"
+    ]
+
+
+def _ordered(counts, skipped, paths):
+    """A parse's outputs as lists, so that comparing them compares order too."""
+    return [(t, list(at.items())) for t, at in counts.items()], skipped, list(paths.items())
+
+
+def _matches_oracle(lines):
+    """Parse ``lines`` with the ingest and with ``util_clf``'s reference
+    parser, assert the outputs agree with their order, and return them."""
+    got_interner, want_interner = ContentInterner(), ContentInterner()
+    got = _ordered(*parse_clf_lines(lines, got_interner), got_interner.paths())
+    want = _ordered(*util_clf.parse_clf_lines(lines, want_interner), want_interner.paths())
+    assert got == want, lines
+    return got
+
+
+_STAMP = "14/Jul/2017:10:00:00 +0000"
+
+
+@pytest.mark.parametrize(
+    "line,kept_as",
+    [
+        (_line(_STAMP, "", request="GET "), None),
+        (_line(_STAMP, "", request="GET\t"), None),
+        (_line(_STAMP, "", request=" GET /a "), "/a"),
+        (_line(_STAMP, "", request="GET ?q=1 HTTP/1.1"), ""),
+        (_line(_STAMP, "/a") + "\n", "/a"),
+        (_line(_STAMP, "/a").replace("10.0.0.1", 'x"y'), "/a"),
+        # \d and int read Arabic-Indic digits; isdigit is true for '²'.
+        (_line(_STAMP, "/a", status="٢٠٠"), "/a"),
+        (_line(_STAMP, "/a", size="²"), "/a"),
+        (_line(_STAMP, "/a", request="GET /a\xa0HTTP/1.1"), "/a"),
+        (_line(_STAMP, "/a", request="GET /a\x0bHTTP/1.1"), "/a"),
+        (_line(_STAMP, "/a", request="GET\n/a"), "/a"),
+    ],
+    ids=["one-token-space", "one-token-tab", "padded-request", "query-only-path",
+         "trailing-newline", "quote-in-client", "arabic-indic-status", "superscript-size",
+         "nbsp-separator", "vtab-separator", "newline-separator"],
+)
+def test_parse_clf_edge_line_matches_reference(line, kept_as):
+    _, skipped, paths = _matches_oracle([line])
+    assert (skipped, paths) == ((1, []) if kept_as is None else (0, [(kept_as, 0)]))
+
+
+# Mutation alphabet: every kind of whitespace the request split and the
+# match must agree on, the field delimiters, and non-ASCII digits.
+_ALPHABET = "\t\x0b\n\xa0 []\"?٥²-/:0a"
+
+
+def _mutations(n, seed):
+    """``n`` seeded lines: valid lines, and lines with one malformed field,
+    each with one or two characters inserted, deleted or replaced from
+    ``_ALPHABET``."""
+    rng = random.Random(seed)
+    bad = [
+        {"stamp": "31/Feb/2017:10:00:00 +0000"},
+        {"status": "999"},
+        {"size": "12kb"},
+        {"request": "GET"},
+    ]
+    lines = []
+    for _ in range(n):
+        path = rng.choice(["/c/1", "/c/2?q=1", "/c/3", "/"])
+        fields = {
+            "stamp": rng.choice([_STAMP, "14/Jul/2017:12:00:01 +0200"]),
+            "status": rng.choice(["200", "404"]),
+            "size": rng.choice(["10", "-"]),
+            "request": rng.choice([f"GET {path} HTTP/1.1", f" GET {path} ", f"GET {path}"]),
+        }
+        if rng.random() < 0.25:
+            fields.update(rng.choice(bad))
+        chars = list(_line(fields.pop("stamp"), path, **fields))
+        for _ in range(rng.randint(1, 2)):
+            at = rng.randrange(len(chars) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                chars.insert(at, rng.choice(_ALPHABET))
+            elif at < len(chars):
+                if op == 1:
+                    del chars[at]
+                else:
+                    chars[at] = rng.choice(_ALPHABET)
+        lines.append("".join(chars))
+    return lines
+
+
+def test_parse_clf_mutations_match_reference():
+    lines = _mutations(20_000, seed=25)
+    skipped = sum(_matches_oracle([line])[1] for line in lines)
+    assert _matches_oracle(lines)[1] == skipped
+    # Both outcomes are common: about a fifth of the lines are kept.
+    assert 2_000 < len(lines) - skipped < 18_000
+
+
+def test_parse_clf_lines_from_a_file_handle(tmp_path):
+    # Lines read from a file end in "\n"; they count as the same lines without it.
+    lines = [
+        _line(_STAMP, "/a?x=1"),
+        _line("31/Feb/2017:10:00:00 +0000", "/bad-day"),
+        "",
+        _line("14/Jul/2017:12:00:00 +0200", "/b", size="-"),
+        "   ",
+        _line(_STAMP, "/short", request="GET"),
+        _line(_STAMP, "/a", status="404"),
+        "not a log line at all",
+    ]
+    p = tmp_path / "access.log"
+    p.write_text("".join(line + "\n" for line in lines))
+    interner = ContentInterner()
+    with open(p) as fh:
+        from_file = parse_clf_lines(fh, interner)
+    expected = _matches_oracle(lines)
+    assert _ordered(*from_file, interner.paths()) == expected
+    assert expected == ([(1500026400.0, [(0, 2), (1, 1)])], 5, [("/a", 0), ("/b", 1)])
 
 
 @pytest.mark.parametrize(
