@@ -248,43 +248,52 @@ class CostBreakdown:
         return self.attend + self.backlog + self.replication + self.financial_normalized
 
 
+def _check_ids(instance: PlanningInstance, solution: Solution) -> None:
+    """Raise UnknownId on the first id of a tuple, backlog entry,
+    replication or hire that the instance does not hold."""
+    servers, contents, requests = instance.server_by_id, instance.content_by_id, instance.request_by_id
+    for tup in solution.tuples:
+        if tup.server not in servers:
+            raise UnknownId(f"unknown server {tup.server}")
+        if tup.content not in contents:
+            raise UnknownId(f"unknown content {tup.content}")
+        for req in tup.served:
+            if req not in requests:
+                raise UnknownId(f"unknown request {req}")
+    for req, _t in solution.backlog:
+        if req not in requests:
+            raise UnknownId(f"unknown request {req}")
+    for rep in solution.replications:
+        if rep.content not in contents:
+            raise UnknownId(f"unknown content {rep.content}")
+        if rep.source not in servers or rep.target not in servers:
+            raise UnknownId(f"unknown server in replication {rep}")
+    for server_id, _slot in solution.hires:
+        if server_id not in servers:
+            raise UnknownId(f"unknown hired server {server_id}")
+
+
 def evaluate(instance: PlanningInstance, solution: Solution) -> CostBreakdown:
     """Objective value of a solution; does not check feasibility."""
+    _check_ids(instance, solution)
+    requests = instance.request_by_id
     attend = 0.0
     seen: set[tuple[int, int, int]] = set()
     for tup in solution.tuples:
-        if tup.server not in instance.server_by_id:
-            raise UnknownId(f"unknown server {tup.server}")
-        if tup.content not in instance.content_by_id:
-            raise UnknownId(f"unknown content {tup.content}")
         for req, amount in tup.served.items():
-            request = instance.request_by_id.get(req)
-            if request is None:
-                raise UnknownId(f"unknown request {req}")
             if amount > 0 and (req, tup.server, tup.period) not in seen:
                 seen.add((req, tup.server, tup.period))
-                attend += request.attend_cost
+                attend += requests[req].attend_cost
     backlog = 0.0
-    for (req, t), amount in solution.backlog.items():
-        request = instance.request_by_id.get(req)
-        if request is None:
-            raise UnknownId(f"unknown request {req}")
-        backlog += request.penalty * amount
+    for (req, _t), amount in solution.backlog.items():
+        backlog += requests[req].penalty * amount
     replication = 0.0
     for rep in solution.replications:
-        content = instance.content_by_id.get(rep.content)
-        if content is None:
-            raise UnknownId(f"unknown content {rep.content}")
-        if rep.source not in instance.server_by_id or rep.target not in instance.server_by_id:
-            raise UnknownId(f"unknown server in replication {rep}")
-        replication += content.copy_cost
+        replication += instance.content_by_id[rep.content].copy_cost
     m = instance.big_m
     financial = 0.0
     for server_id, _slot in solution.hires:
-        server = instance.server_by_id.get(server_id)
-        if server is None:
-            raise UnknownId(f"unknown hired server {server_id}")
-        financial += server.cost / m
+        financial += instance.server_by_id[server_id].cost / m
     return CostBreakdown(attend, backlog, replication, financial)
 
 
@@ -309,6 +318,7 @@ def check_feasibility(
     """
     if mode != "corrected":
         raise ValueError(f"unknown mode {mode!r}")
+    _check_ids(instance, solution)
     inst = instance
     out: list[Violation] = []
     att = solution.attended()

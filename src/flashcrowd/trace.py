@@ -9,8 +9,10 @@ with an access becoming bin 0.
 
 Content identity is the request path with its query string stripped; ids
 are interned in first-seen order, so they are deterministic for a given
-input. Each distinct bracketed time text is parsed at most once per call,
-so a log whose lines share a few hundred stamps pays for those few hundred.
+input. One regex match per line checks every field but the status range,
+the size digits and the time. Each valid time text is parsed at most once
+per call, so a log whose lines share a few hundred stamps pays for those
+few hundred.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ class NegativeCount(ValueError):
 
 
 class NonIntegerField(ValueError):
+    pass
+
+
+class NegativeIndex(ValueError):
     pass
 
 
@@ -106,10 +112,11 @@ class BinnedTrace:
         )
 
 
+# Groups: time text, path without its query, status, size. A blank line
+# fails, and the lookahead fails a one-token request such as "GET ".
 _CLF_RE = re.compile(
-    r'^(?P<client>\S+)\s+(?P<ident>\S+)\s+(?P<user>\S+)\s+'
-    r'\[(?P<time>[^\]]+)\]\s+"(?P<request>[^"]*)"\s+'
-    r"(?P<status>\d{3})\s+(?P<size>\S+)\s*$"
+    r'\S+\s+\S+\s+\S+\s+\[([^\]]+)\]\s+"\s*[^\s"]+\s+(?=[^\s"])([^\s"?]*)[^"]*"\s+'
+    r"(\d{3})\s+(\S+)\s*$"
 )
 
 _MONTHS = {
@@ -143,35 +150,11 @@ def _parse_clf_time(text: str) -> float:
     return dt.timestamp()
 
 
-def _parse_line(line: str, stamps: dict[str, float]) -> tuple[float, str]:
-    """The epoch seconds and request path of one Common-Log-Format line.
-
-    Fields are checked in the order regex, request, status, size, time;
-    ``stamps`` memoises the time text of successful parses. Any status in
-    100-599 is kept: filtering by status is a separate policy.
-    """
-    m = _CLF_RE.match(line)
-    if m is None:
-        raise MalformedLine(f"unparseable line: {line!r}")
-    time_text, request_text, status_text, size_text = m.group("time", "request", "status", "size")
-    request = request_text.split()
-    if len(request) < 2:
-        raise MalformedLine(f"bad request field: {request_text!r}")
-    if not 100 <= int(status_text) <= 599:
-        raise MalformedLine(f"status out of range: {status_text}")
-    if size_text != "-" and not size_text.isdigit():
-        raise MalformedLine(f"bad size field: {size_text!r}")
-    timestamp = stamps.get(time_text)
-    if timestamp is None:
-        timestamp = stamps[time_text] = _parse_clf_time(time_text)
-    return timestamp, request[1]
-
-
 def parse_clf_lines(
     lines: Iterable[str], interner: ContentInterner
 ) -> tuple[dict[float, dict[int, int]], int]:
     """Count a stream of log lines per second and content, skipping and
-    counting blank and malformed ones.
+    counting blank and malformed ones; any status in 100-599 is kept.
 
     Returns ``(counts, skipped)``: ``counts`` maps each distinct epoch
     second to ``{content id: accesses}``, both in first-seen order. A path
@@ -180,16 +163,22 @@ def parse_clf_lines(
     stamps: dict[str, float] = {}
     counts: dict[float, dict[int, int]] = {}
     read = skipped = 0
-    for line in lines:
-        read += 1
-        if not line.strip():
+    for read, line in enumerate(lines, 1):
+        m = _CLF_RE.match(line)
+        if m is None:
             skipped += 1
             continue
-        try:
-            timestamp, path = _parse_line(line, stamps)
-        except MalformedLine:
+        time_text, path, status, size = m.groups()
+        if not 100 <= int(status) <= 599 or not (size == "-" or size.isdigit()):
             skipped += 1
             continue
+        timestamp = stamps.get(time_text)
+        if timestamp is None:
+            try:
+                timestamp = stamps[time_text] = _parse_clf_time(time_text)
+            except MalformedLine:
+                skipped += 1
+                continue
         cid = interner.intern(path)
         at = counts.get(timestamp)
         if at is None:
@@ -283,7 +272,7 @@ def read_csv_trace(path: str, bin_width: float = 1.0) -> BinnedTrace:
             if count < 0:
                 raise NegativeCount(f"line {lineno}: negative count {count}")
             if t < 0 or cid < 0:
-                raise NonIntegerField(f"line {lineno}: negative index in {row!r}")
+                raise NegativeIndex(f"line {lineno}: negative index in {row!r}")
             entries.append((t, cid, count))
     if not entries:
         return BinnedTrace(bin_width=bin_width)

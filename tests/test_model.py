@@ -286,14 +286,31 @@ class TestFeasibility:
         families = {v.family for v in check_feasibility(simple_instance(**args), sol, "corrected")}
         assert family in families
 
-    @pytest.mark.parametrize("replica, message", [
-        ((9, 0, 1), "unknown content 9 in replicas"),
-        ((0, 9, 1), "unknown server 9 in replicas"),
-    ])
-    def test_replica_with_unknown_id_is_named(self, replica, message):
+    @pytest.mark.parametrize("solution, message", [
+        (Solution(tuples=[AttendanceTuple(0, 9, 1, {0: 1.0})]), "unknown server 9"),
+        (Solution(tuples=[AttendanceTuple(9, 0, 1, {0: 1.0})]), "unknown content 9"),
+        (Solution(tuples=[AttendanceTuple(0, 0, 1, {9: 1.0})]), "unknown request 9"),
+        (Solution(backlog={(9, 1): 1.0}), "unknown request 9"),
+        (Solution(replications=[Replication(9, 0, 0, 1)]), "unknown content 9"),
+        (Solution(replications=[Replication(0, 9, 0, 1)]),
+         "unknown server in replication Replication(content=0, source=9, target=0, period=1)"),
+        (Solution(replications=[Replication(0, 0, 9, 1)]),
+         "unknown server in replication Replication(content=0, source=0, target=9, period=1)"),
+        (Solution(hires={(9, 1)}), "unknown hired server 9"),
+        (Solution(replicas={(0, 0, 1), (9, 0, 1)}), "unknown content 9 in replicas"),
+        (Solution(replicas={(0, 0, 1), (0, 9, 1)}), "unknown server 9 in replicas"),
+    ], ids=["tuple-server", "tuple-content", "tuple-request", "backlog-request",
+            "replication-content", "replication-source", "replication-target", "hire-server",
+            "replica-content", "replica-server"])
+    def test_unknown_id_is_named(self, solution, message):
         with pytest.raises(UnknownId) as caught:
-            check_feasibility(simple_instance(), Solution(replicas={(0, 0, 1), replica}))
+            check_feasibility(simple_instance(), solution)
         assert caught.value.args == (message,)
+        if not message.endswith(" in replicas"):
+            # evaluate reads no replicas, and names every other id alike.
+            with pytest.raises(UnknownId) as caught:
+                evaluate(simple_instance(), solution)
+            assert caught.value.args == (message,)
 
     def test_valid_solution_clean(self):
         inst = simple_instance()

@@ -14,6 +14,7 @@ from flashcrowd.trace import (
     BinnedTrace,
     ContentInterner,
     NegativeCount,
+    NegativeIndex,
     NonIntegerField,
     bin_records,
     parse_clf_lines,
@@ -388,7 +389,7 @@ def test_csv_errors(tmp_path):
     [
         ("", BadHeader, "empty file"),
         ("t,content_id,count\n0,1\n", NonIntegerField, "line 2: expected 3 fields, got 2"),
-        ("t,content_id,count\n-1,0,1\n", NonIntegerField,
+        ("t,content_id,count\n-1,0,1\n", NegativeIndex,
          "line 2: negative index in ['-1', '0', '1']"),
     ],
     ids=["empty-file", "two-fields", "negative-index"],
