@@ -10,9 +10,10 @@ with an access becoming bin 0.
 Content identity is the request path with its query string stripped; ids
 are interned in first-seen order, so they are deterministic for a given
 input. One regex match per line checks every field but the status range,
-the size digits and the time. Each valid time text is parsed at most once
-per call, so a log whose lines share a few hundred stamps pays for those
-few hundred.
+the size digits and the time. Three per-call memos do the rest once per
+distinct text: the status check per status text, the count bucket per
+valid time text and the content id per kept path, each bounded by the
+distinct texts of its kind, not by the number of lines.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ class BinnedTrace:
 
 
 # Groups: time text, path without its query, status, size. A blank line
-# fails, and the lookahead fails a one-token request such as "GET ".
+# fails, and the lookahead fails a one-token request such as "GET ". The
+# pattern must compile on Python 3.10: no possessive "++" and no "(?>...)".
 _CLF_RE = re.compile(
     r'\S+\s+\S+\s+\S+\s+\[([^\]]+)\]\s+"\s*[^\s"]+\s+(?=[^\s"])([^\s"?]*)[^"]*"\s+'
     r"(\d{3})\s+(\S+)\s*$"
@@ -158,35 +160,41 @@ def parse_clf_lines(
 
     Returns ``(counts, skipped)``: ``counts`` maps each distinct epoch
     second to ``{content id: accesses}``, both in first-seen order. A path
-    is interned only once its line has passed every check.
+    is interned only once its line has passed every check. The per-call
+    memos (status check per status text, count bucket per valid time
+    text, id per kept path) grow with distinct texts, not with lines; an
+    invalid time text is parsed again each time it recurs.
     """
-    stamps: dict[str, float] = {}
+    statuses: dict[str, bool] = {}
+    buckets: dict[str, dict[int, int]] = {}
+    ids: dict[str, int] = {}
     counts: dict[float, dict[int, int]] = {}
     read = skipped = 0
-    for read, line in enumerate(lines, 1):
-        m = _CLF_RE.match(line)
+    for read, m in enumerate(map(_CLF_RE.match, lines), 1):
         if m is None:
             skipped += 1
             continue
         time_text, path, status, size = m.groups()
-        if not 100 <= int(status) <= 599 or not (size == "-" or size.isdigit()):
+        ok = statuses.get(status)
+        if ok is None:
+            ok = statuses[status] = 100 <= int(status) <= 599
+        if not ok or not (size == "-" or size.isdigit()):
             skipped += 1
             continue
-        timestamp = stamps.get(time_text)
-        if timestamp is None:
+        at = buckets.get(time_text)
+        if at is None:
             try:
-                timestamp = stamps[time_text] = _parse_clf_time(time_text)
+                timestamp = _parse_clf_time(time_text)
             except MalformedLine:
                 skipped += 1
                 continue
-        cid = interner.intern(path)
-        at = counts.get(timestamp)
-        if at is None:
-            counts[timestamp] = {cid: 1}
-        else:
-            at[cid] = at.get(cid, 0) + 1
+            at = buckets[time_text] = counts.setdefault(timestamp, {})
+        cid = ids.get(path)
+        if cid is None:
+            cid = ids[path] = interner.intern(path)
+        at[cid] = at.get(cid, 0) + 1
     logger.debug(
-        "parsed %d log lines: %d skipped, %d distinct timestamps", read, skipped, len(stamps)
+        "parsed %d log lines: %d skipped, %d distinct timestamps", read, skipped, len(buckets)
     )
     return counts, skipped
 
@@ -226,8 +234,12 @@ def write_csv_trace(trace: BinnedTrace, path: str) -> None:
     Zero counts are suppressed except for pinning rows that preserve the
     horizon (a zero row in the final bin when it is empty) and the catalog
     (a zero row at t=0 for contents that never appear), so that
-    ``read_csv_trace`` restores an identical trace.
+    ``read_csv_trace`` restores an identical trace. The format pins a
+    horizon only through a content, so bins with an empty catalog raise
+    ``ValueError`` before the file is opened.
     """
+    if trace.bins and not trace.catalog:
+        raise ValueError(f"cannot write horizon {trace.horizon} with an empty catalog")
     rows: list[tuple[int, int, int]] = []
     seen: set[int] = set()
     last_bin_has_row = False
@@ -240,7 +252,7 @@ def write_csv_trace(trace: BinnedTrace, path: str) -> None:
                     last_bin_has_row = True
     for cid in sorted(trace.catalog - seen):
         rows.append((0, cid, 0))
-    if trace.horizon > 0 and not last_bin_has_row and trace.catalog:
+    if trace.horizon > 0 and not last_bin_has_row:
         rows.append((trace.horizon - 1, min(trace.catalog), 0))
     rows.sort()
     with open(path, "w", newline="") as fh:

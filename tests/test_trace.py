@@ -1,5 +1,6 @@
 import logging
 import random
+from collections import Counter
 import re
 from datetime import datetime, timedelta, timezone
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util_clf
+from flashcrowd import trace as trace_module
 from flashcrowd.generator import ContentProfile, GeneratorConfig, generate
 from flashcrowd.trace import (
     BadHeader,
@@ -277,6 +279,69 @@ def test_parse_clf_mutations_match_reference():
     assert 2_000 < len(lines) - skipped < 18_000
 
 
+_WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+@pytest.mark.parametrize("sep", _WHITESPACE, ids=[f"U+{ord(c):04X}" for c in _WHITESPACE])
+def test_parse_clf_field_separator_matches_reference(sep):
+    # Each of the 29 whitespace code points after the request's closing
+    # quote, between status and size, and after the size.
+    line = _line(_STAMP, "/a")
+    lines = [
+        line.replace('" 200', '"' + sep + "200"),
+        line.replace(" 200 ", " 200" + sep),
+        line + sep,
+    ]
+    assert _matches_oracle(lines) == ([(1500026400.0, [(0, 3)])], 0, [("/a", 0)])
+
+
+class _CountingInterner(ContentInterner):
+    def __init__(self):
+        super().__init__()
+        self.calls = Counter()
+
+    def intern(self, path):
+        self.calls[path] += 1
+        return super().intern(path)
+
+
+def test_parse_clf_lines_parses_each_time_and_interns_each_path_once_per_call(monkeypatch):
+    parsed = Counter()
+    parse = trace_module._parse_clf_time
+
+    def counting_parse(text):
+        parsed[text] += 1
+        return parse(text)
+
+    monkeypatch.setattr(trace_module, "_parse_clf_time", counting_parse)
+    later, bad_day = "14/Jul/2017:12:00:01 +0200", "31/Feb/2017:10:00:00 +0000"
+    lines = [
+        _line(_STAMP, "/a?x=1"),
+        _line(later, "/b", status="404"),
+        _line(bad_day, "/bad-day"),
+        _line(_STAMP, "/short", request="GET"),
+        _line(later, "/bad-status", status="999"),
+        _line(_STAMP, "/bad-size", size="12kb"),
+        "",
+        _line(later, "/a", size="-"),
+        _line(_STAMP, "/c"),
+    ] * 50
+    interner = _CountingInterner()
+    first = parse_clf_lines(lines, interner)
+    # A bad time text is parsed again each time it recurs; a path seen only
+    # on skipped lines is never interned.
+    assert parsed == {_STAMP: 1, later: 1, bad_day: 50}
+    assert interner.calls == {"/a": 1, "/b": 1, "/c": 1}
+    assert first == ({1500026400.0: {0: 50, 2: 50}, 1500026401.0: {1: 50, 0: 50}}, 250)
+
+    parsed.clear()
+    interner.calls.clear()
+    assert parse_clf_lines(lines, interner) == first
+    assert parsed == {_STAMP: 1, later: 1, bad_day: 50}
+    assert interner.calls == {"/a": 1, "/b": 1, "/c": 1}
+    assert interner.paths() == {"/a": 0, "/b": 1, "/c": 2}
+
+
 def test_parse_clf_lines_from_a_file_handle(tmp_path):
     # Lines read from a file end in "\n"; they count as the same lines without it.
     lines = [
@@ -416,6 +481,14 @@ def test_csv_roundtrip_preserves_trailing_empty_bins_and_catalog(tmp_path):
     back = read_csv_trace(str(p))
     assert back == trace
     assert back.horizon == 3 and back.catalog == {3, 9}
+
+
+def test_csv_write_of_bins_without_a_catalog_raises_and_writes_nothing(tmp_path):
+    # No row could pin the horizon: the file would read back as horizon 0.
+    p = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="^cannot write horizon 3 with an empty catalog$"):
+        write_csv_trace(BinnedTrace(60.0, bins=[{}, {}, {}]), str(p))
+    assert not p.exists()
 
 
 @st.composite
